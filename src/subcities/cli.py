@@ -382,7 +382,6 @@ def run(config: RunConfig) -> int:
         "seed": config.seed,
     }
     try:
-        np.random.seed(config.seed)  # belt and braces; solvers seed their own rngs
         report["result"] = _RUNNERS[config.mode](config, outdir)
         status = 0
     except NoConvergence as exc:

@@ -6,11 +6,18 @@ denominator) so flows are exact integers and marginals are met exactly in
 quantized units; the quantization residual is reported on the plan. Node
 potentials maintained by the algorithm provide an optimality certificate:
 they are dual-feasible everywhere and complementary-slack on the support.
+
+Each shortest-path search labels only the k nodes of the smaller side (a
+wide instance is solved transposed). A path alternates sides, so a label
+moves from one of those nodes to another back along one of its flow edges
+and forward on a second edge of the same opposite-side node; those
+exchange costs are taken over all opposite-side nodes at once with numpy.
+An augmentation costs O(n*k) numpy work plus O(k^2) for the search, which
+suits the production shape: n grid cells against k atoms.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,87 +105,96 @@ class PotentialPair:
 def _ssp(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
     """Successive shortest paths on the uncapacitated bipartite graph.
 
-    Returns flows {(i, j): units} plus potentials (psi, psi_c) satisfying
-    psi_i + psi_c_j <= c_ij with equality on every flow-carrying pair.
+    Returns a dense integer flow matrix plus potentials (psi, psi_c)
+    satisfying psi_i + psi_c_j <= c_ij with equality on every flow-carrying
+    pair. Shortest paths are labelled on the smaller side only; a wide
+    instance is solved transposed and its potentials swapped back.
     """
     n, m = cost.shape
+    if n < m:
+        flow, psi_c, psi = _ssp(cost.T, demand, supply)
+        return flow.T, psi, psi_c
     phi_s = np.zeros(n)
     phi_t = np.zeros(m)
     rem_s = supply.astype(np.int64).copy()
     rem_t = demand.astype(np.int64).copy()
-    back: list[dict] = [dict() for _ in range(m)]  # back[j]: {i: units}
+    flow = np.zeros((n, m), dtype=np.int64, order="F")  # columns are scanned
+    cols = np.arange(m)
+    # Sources with supply left were on distance 0 in every search so far,
+    # so their potentials are still 0 and each column's cheapest one is the
+    # first of its cost order that has supply left.
+    order = np.argsort(cost, axis=0, kind="stable")
+    head = (rem_s[order] > 0).argmax(axis=0)
     total_rem = int(rem_s.sum())
     rounds = 0
     while total_rem > 0:
         rounds += 1
         if rounds > 50 * (n + m) + 1000:
             raise NoConvergence("augmentation guard tripped in transport solve")
-        dist = np.full(n + m, np.inf)
-        dist[:n][rem_s > 0] = 0.0
-        done = np.zeros(n + m, dtype=bool)
-        pred = np.full(n + m, -1, dtype=np.int64)
-        heap = [(0.0, int(i)) for i in np.nonzero(rem_s > 0)[0]]
-        heapq.heapify(heap)
-        t_star = -1
-        while heap:
-            d, u = heapq.heappop(heap)
-            if done[u] or d > dist[u]:
-                continue
-            done[u] = True
-            if u >= n and rem_t[u - n] > 0:
-                t_star = u - n
+        # Dijkstra over the targets: a label reaches target j' either
+        # straight from a source with supply left, or from a settled target
+        # j back along one of j's flow edges (i, j) and forward on (i, j').
+        # ``key`` holds tentative labels of unsettled targets, ``dist`` the
+        # settled ones; sources get their labels on the way.
+        pred_src = order[head, cols]
+        key = np.maximum(cost[pred_src, cols] - phi_t, 0.0)
+        pred_tgt = np.full(m, -1, dtype=np.int64)
+        dist = np.full(m, np.inf)
+        unsettled = np.ones(m, dtype=bool)
+        dist_s = np.full(n, np.inf)
+        while True:
+            j = int(key.argmin())
+            d = key[j]
+            if d == np.inf:
+                raise NoConvergence("no augmenting path found in transport solve")
+            dist[j] = d
+            key[j] = np.inf
+            unsettled[j] = False
+            if rem_t[j] > 0:
                 break
-            if u < n:
-                rc = cost[u] + (phi_s[u] - phi_t)
-                nd = d + np.maximum(rc, 0.0)
-                better = nd < dist[n:]
-                for j in np.nonzero(better)[0]:
-                    dist[n + j] = nd[j]
-                    pred[n + j] = u
-                    heapq.heappush(heap, (float(nd[j]), int(n + j)))
-            else:
-                j = u - n
-                if back[j]:
-                    ii = np.fromiter(back[j].keys(), np.int64)
-                    rc = phi_t[j] - phi_s[ii] - cost[ii, j]
-                    nd = d + np.maximum(rc, 0.0)
-                    better = nd < dist[ii]
-                    for t in np.nonzero(better)[0]:
-                        i = int(ii[t])
-                        dist[i] = nd[t]
-                        pred[i] = u
-                        heapq.heappush(heap, (float(nd[t]), i))
-        if t_star < 0:
-            raise NoConvergence("no augmenting path found in transport solve")
-        # potential update keeps reduced costs nonnegative
-        upd = np.minimum(dist, dist[n + t_star])
-        fin = np.isfinite(upd)
-        phi_s[fin[:n]] += upd[:n][fin[:n]]
-        phi_t[fin[n:]] += upd[n:][fin[n:]]
+            rows = np.nonzero(flow[:, j])[0]
+            if len(rows) == 0:
+                continue
+            via = d + np.maximum(phi_t[j] - phi_s[rows] - cost[rows, j], 0.0)
+            dist_s[rows] = np.minimum(dist_s[rows], via)
+            cand = via[:, None] + np.maximum(
+                cost[rows] + (phi_s[rows, None] - phi_t), 0.0
+            )
+            best = cand.argmin(axis=0)
+            nd = cand[best, cols]
+            better = (nd < key) & unsettled
+            key[better] = nd[better]
+            pred_src[better] = rows[best[better]]
+            pred_tgt[better] = j
+        t_star = j
+        # potential update keeps reduced costs nonnegative; sources with
+        # supply left sit at distance 0, unsettled nodes at d or beyond
+        if d > 0.0:
+            dist_s[rem_s > 0] = 0.0
+            phi_s += np.minimum(dist_s, d)
+            phi_t += np.minimum(dist, d)
         # trace augmenting path, find bottleneck, apply
         path = []
-        u = n + t_star
-        while pred[u] >= 0:
-            path.append((int(pred[u]), int(u)))
-            u = int(pred[u])
-        start = u
+        j = t_star
+        while j >= 0:
+            path.append((int(pred_src[j]), j, int(pred_tgt[j])))
+            j = int(pred_tgt[j])
+        start = path[-1][0]
         delta = min(int(rem_s[start]), int(rem_t[t_star]))
-        for a, b in path:
-            if a >= n:  # backward edge: flow (b, a - n) is reduced
-                delta = min(delta, back[a - n][b])
-        for a, b in path:
-            if b >= n:
-                back[b - n][a] = back[b - n].get(a, 0) + delta
-            else:
-                j = a - n
-                back[j][b] -= delta
-                if back[j][b] == 0:
-                    del back[j][b]
+        for i, _, jb in path[:-1]:
+            delta = min(delta, int(flow[i, jb]))
+        for i, jf, jb in path:
+            flow[i, jf] += delta
+            if jb >= 0:
+                flow[i, jb] -= delta
         rem_s[start] -= delta
         rem_t[t_star] -= delta
         total_rem -= delta
-    flows = {(i, j): units for j in range(m) for i, units in back[j].items()}
-    return flows, -phi_s, phi_t
+        if rem_s[start] == 0 and total_rem > 0:
+            for j in np.nonzero(order[head, cols] == start)[0]:
+                while rem_s[order[head[j], j]] == 0:
+                    head[j] += 1
+    return flow, -phi_s, phi_t
 
 
 def solve_discrete_transport(
@@ -227,11 +243,9 @@ def solve_discrete_transport(
         float(np.abs(supply / denominator - source.weights).max()),
         float(np.abs(demand / denominator - target.weights).max()),
     )
-    flows, psi, psi_c = _ssp(cost, supply, demand)
-    keys = sorted(flows.keys())
-    fi = np.array([k[0] for k in keys], dtype=np.int64)
-    fj = np.array([k[1] for k in keys], dtype=np.int64)
-    fmass = np.array([flows[k] for k in keys], dtype=float) / denominator
+    flow, psi, psi_c = _ssp(cost, supply, demand)
+    fi, fj = np.nonzero(flow)
+    fmass = flow[fi, fj] / denominator
     total = float(cost[fi, fj] @ fmass)
     return TransportPlan(source, target, fi, fj, fmass, p, total, q_res, psi, psi_c)
 

@@ -16,20 +16,12 @@ import numpy as np
 
 from .errors import ConditionNotSatisfied, InvalidK, NotProbability, SubcitiesError
 from .functionals import ConcentrationFamily, FunctionFamily, eval_F, eval_G
-from .measures import (
-    INTERNAL_PROB_TOL,
-    AtomicMeasure,
-    Domain,
-    Grid,
-    GridDensity,
-    WeightedPointCloud,
-    normalize,
-    to_point_cloud,
-)
+from .measures import AtomicMeasure, Domain, Grid, GridDensity
 from .semidiscrete import (
     SubcityProfile,
     _generic_radial,
     _solve_weights_best,
+    _transport_term,
     _Workspace,
     density_from_weights,
     induced_transport_cost,
@@ -250,9 +242,16 @@ def assemble_rn_solution(
     transport_closed = float(sum(_ball_transport_cost(f, p, n, R) for R in radii))
     f_term = eval_F(f, density)
     g_term = eval_G(g, atoms)
-    oracle_cost, oracle_route = _oracle_transport(
-        atoms, weights, f, p, grid, density, transport_oracle
-    )
+    if transport_oracle == "off":
+        oracle_cost, oracle_route = None, "off"
+    else:
+        oracle_cost, oracle_route = _transport_term(
+            atoms,
+            density,
+            p,
+            transport_oracle,
+            lambda: induced_transport_cost(atoms, weights, f, p, grid),
+        )
     objective = {
         "transport": transport_closed,
         "F": f_term,
@@ -267,25 +266,6 @@ def assemble_rn_solution(
     ]
     metadata = {"mode": "rn-assembly", "layout": layout, "heuristic": False}
     return PlanSolution(mu=density, nu=atoms, profiles=profiles, objective=objective, metadata=metadata)
-
-
-def _oracle_transport(atoms, weights, f, p, grid, density, mode):
-    """Discrete-oracle transport cost: exact LP when affordable, else the
-    induced plan whose optimality is certified by the weight duals."""
-    if mode == "off":
-        return None, "off"
-    n_support = int((density.values > 0).sum())
-    use_lp = mode == "lp" or (
-        mode == "auto" and (len(atoms) == 1 or n_support**2 * len(atoms) <= 400_000)
-    )
-    if use_lp:
-        from .discrete_transport import solve_discrete_transport
-
-        cloud = to_point_cloud(normalize(density), tol=INTERNAL_PROB_TOL)
-        nu_cloud = WeightedPointCloud(atoms.points, atoms.masses / atoms.masses.sum())
-        plan = solve_discrete_transport(cloud, nu_cloud, p)
-        return plan.total_cost, "lp"
-    return induced_transport_cost(atoms, weights, f, p, grid), "induced"
 
 
 def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:

@@ -264,10 +264,13 @@ def density_from_weights(
 ) -> GridDensity:
     """Materialize u(x) = k(max_i(c_i - |x - x_i|^p) v 0) at the cell centers."""
     weights = c.c if isinstance(c, DualWeights) else np.asarray(c, dtype=float)
-    ws = _Workspace(atoms, f, p, grid)
+    return _density(_Workspace(atoms, f, p, grid), weights)
+
+
+def _density(ws: _Workspace, weights: np.ndarray) -> GridDensity:
     s, _, u, _ = ws.stats(weights)
-    values = np.where(s > 0, u, 0.0).reshape(grid.resolution)
-    return GridDensity(grid, values)
+    values = np.where(s > 0, u, 0.0).reshape(ws.grid.resolution)
+    return GridDensity(ws.grid, values)
 
 
 def cell_masses(
@@ -345,16 +348,22 @@ def solve_weights(
     polish takes over if Newton stalls. Raises NoConvergence with the best
     residual when the requested tolerance is out of reach for the grid.
     """
+    return _solve_weights(atoms, f, p, grid, tol, max_iter)[0]
+
+
+def _solve_weights(atoms, f, p, grid, tol, max_iter):
+    """``solve_weights`` plus the workspace it solved on, for reuse."""
     if not atoms.is_probability():
         raise NotProbability("solve_weights needs a probability atomic measure")
-    c, residual = _solve_weights_best(atoms, f, p, grid, tol, max_iter)
+    ws = _Workspace(atoms, f, p, grid)
+    c, residual = _solve_weights_best(atoms, f, p, grid, tol, max_iter, ws=ws)
     if residual > tol:
         raise NoConvergence(
             f"mass balance reached {residual:.3e} > tol {tol:.3e}; "
             "refine the grid or relax the tolerance",
             residual=residual,
         )
-    return DualWeights(c=c, atoms=atoms, residual=residual)
+    return DualWeights(c=c, atoms=atoms, residual=residual), ws
 
 
 def _solve_weights_best(
@@ -364,9 +373,11 @@ def _solve_weights_best(
     grid: Grid,
     tol: float,
     max_iter: int = 500,
+    ws: _Workspace | None = None,
 ):
     """Best-effort weight solve; returns (c, residual) without raising."""
-    ws = _Workspace(atoms, f, p, grid)
+    if ws is None:
+        ws = _Workspace(atoms, f, p, grid)
     targets = atoms.masses
     radii = np.array([radius_of_mass(f, p, grid.domain.dim, m) for m in targets])
     c = radii**p
@@ -456,10 +467,34 @@ def induced_transport_cost(
     (-(max score v 0), c) is dual-feasible with equality on the support.
     """
     weights = c.c if isinstance(c, DualWeights) else np.asarray(c, dtype=float)
-    ws = _Workspace(atoms, f, p, grid)
+    return _induced_cost(_Workspace(atoms, f, p, grid), weights)
+
+
+def _induced_cost(ws: _Workspace, weights: np.ndarray) -> float:
     s, winner, u, _ = ws.stats(weights)
     active = s > 0
     return float((u * ws.vol * ws.dist_p[ws._idx, winner])[active].sum())
+
+
+def _transport_term(
+    nu: AtomicMeasure, density: GridDensity, p: float, mode: str, induced
+) -> tuple[float, str]:
+    """Transport cost from ``density`` to ``nu`` and the route that gave it.
+
+    The exact LP runs when ``mode`` is "lp", or "auto" with one atom or a
+    small support; otherwise ``induced()`` gives the cost of the induced
+    plan, whose optimality the weight duals certify.
+    """
+    n_support = int((density.values > 0).sum())
+    if mode == "lp" or (
+        mode == "auto" and (len(nu) == 1 or n_support * n_support * len(nu) <= 400_000)
+    ):
+        from .discrete_transport import solve_discrete_transport
+
+        cloud = to_point_cloud(normalize(density), tol=INTERNAL_PROB_TOL)
+        nu_cloud = WeightedPointCloud(nu.points, nu.masses / nu.total_mass)
+        return solve_discrete_transport(cloud, nu_cloud, p).total_cost, "lp"
+    return induced(), "induced"
 
 
 def min_Fp_nu(
@@ -478,29 +513,14 @@ def min_Fp_nu(
     small enough, otherwise through the certified induced plan; the route
     taken is recorded in the breakdown.
     """
-    weights = solve_weights(nu, f, p, grid, tol=tol, max_iter=max_iter)
-    density = density_from_weights(nu, weights, f, p, grid)
+    weights, ws = _solve_weights(nu, f, p, grid, tol, max_iter)
+    density = _density(ws, weights.c)
     f_term = eval_F(f, density)
-    n_support = int((density.values > 0).sum())
-    use_lp = transport_oracle == "lp" or (
-        transport_oracle == "auto"
-        and (len(nu) == 1 or n_support * n_support * len(nu) <= 400_000)
+    transport, route = _transport_term(
+        nu, density, p, transport_oracle, lambda: _induced_cost(ws, weights.c)
     )
-    if use_lp:
-        from .discrete_transport import solve_discrete_transport
-
-        cloud = to_point_cloud(normalize(density), tol=INTERNAL_PROB_TOL)
-        nu_cloud = WeightedPointCloud(nu.points, nu.masses / nu.total_mass)
-        plan = solve_discrete_transport(cloud, nu_cloud, p)
-        transport = plan.total_cost
-        route = "lp"
-    else:
-        transport = induced_transport_cost(nu, weights, f, p, grid)
-        route = "induced"
-    s = (weights.c[None, :] - _Workspace(nu, f, p, grid).dist_p).max(axis=1)
-    dual = float(weights.c @ nu.masses) - float(
-        f.conjugate(np.maximum(s, 0.0)).sum() * grid.cell_volume
-    )
+    s = (weights.c[None, :] - ws.dist_p).max(axis=1)
+    dual = ws.dual_value(weights.c, s)
     breakdown = {
         "transport": transport,
         "F": f_term,

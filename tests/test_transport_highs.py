@@ -1,0 +1,115 @@
+"""Cross-check of the exact transport solver against scipy's HiGHS LP.
+
+Every weight is a multiple of 1/1000, so the solver's integer mass units
+represent both marginals exactly and both solvers solve the same LP. Shapes
+cover tall n x k clouds (the production shape), their transposes, square
+instances, and degenerate ties, each at p in {1, 1.5, 2}.
+"""
+
+import numpy as np
+import pytest
+
+from subcities import WeightedPointCloud, solve_discrete_transport
+
+optimize = pytest.importorskip("scipy.optimize")
+sparse = pytest.importorskip("scipy.sparse")
+
+EXPONENTS = (1.0, 1.5, 2.0)
+GAP_TOL = 1e-8  # acceptance criterion 1
+MARGINAL_TOL = 1e-9
+FEASIBILITY_TOL = 1e-9
+
+
+def lattice_weights(rng, n):
+    """n positive weights on the 1/1000 lattice summing to 1."""
+    counts = 1 + rng.multinomial(1000 - n, rng.dirichlet(np.ones(n)))
+    return counts / 1000.0
+
+
+def cloud(rng, points):
+    points = np.asarray(points, dtype=float)
+    return WeightedPointCloud(points, lattice_weights(rng, len(points)))
+
+
+def cost_matrix(src, tgt, p):
+    return np.linalg.norm(src.points[:, None, :] - tgt.points[None, :, :], axis=2) ** p
+
+
+def highs_value(src, tgt, cost):
+    n, m = cost.shape
+    rows = sparse.kron(sparse.identity(n), np.ones((1, m)))
+    cols = sparse.kron(np.ones((1, n)), sparse.identity(m))
+    res = optimize.linprog(
+        cost.ravel(),
+        A_eq=sparse.vstack([rows, cols]).tocsr(),
+        b_eq=np.concatenate([src.weights, tgt.weights]),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def assert_matches_highs(src, tgt, p):
+    plan = solve_discrete_transport(src, tgt, p)
+    cost = cost_matrix(src, tgt, p)
+    fun = highs_value(src, tgt, cost)
+    assert abs(plan.total_cost - fun) <= 1e-9 * (1.0 + abs(fun))
+    dual = src.weights @ plan.dual_psi + tgt.weights @ plan.dual_psi_c
+    assert abs(plan.total_cost - dual) <= GAP_TOL
+    assert max(plan.marginal_residuals()) <= MARGINAL_TOL
+    assert (plan.dual_psi[:, None] + plan.dual_psi_c[None, :] - cost).max() <= FEASIBILITY_TOL
+
+
+def tall_case(k, seed):
+    rng = np.random.default_rng(seed)
+    return cloud(rng, rng.random((48, 2))), cloud(rng, rng.random((k, 2)))
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_tall(k, p):
+    src, tgt = tall_case(k, seed=100 + k)
+    assert_matches_highs(src, tgt, p)
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_wide(k, p):
+    src, tgt = tall_case(k, seed=200 + k)
+    assert_matches_highs(tgt, src, p)
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+def test_square(p):
+    rng = np.random.default_rng(300)
+    assert_matches_highs(cloud(rng, rng.random((24, 2))), cloud(rng, rng.random((24, 2))), p)
+
+
+def duplicate_sources(rng):
+    """Each source point appears three times; targets are distinct."""
+    pts = np.repeat(rng.random((10, 2)), 3, axis=0)
+    return cloud(rng, pts), cloud(rng, rng.random((4, 2)))
+
+
+def equidistant_targets(rng):
+    """Sources on the symmetry axis of mirrored target pairs."""
+    src = np.column_stack([np.full(20, 0.5), rng.random(20)])
+    ys = rng.random(3)
+    tgt = np.concatenate(
+        [np.column_stack([np.full(3, 0.2), ys]), np.column_stack([np.full(3, 0.8), ys])]
+    )
+    return cloud(rng, src), cloud(rng, tgt)
+
+
+def collinear_lattice(rng):
+    """1-D integer points: many equal costs, and many optimal plans at p = 1."""
+    return cloud(rng, rng.integers(0, 6, (30, 1))), cloud(rng, rng.integers(0, 6, (30, 1)))
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+@pytest.mark.parametrize("make", [duplicate_sources, equidistant_targets, collinear_lattice])
+def test_degenerate_ties(make, p):
+    src, tgt = make(np.random.default_rng(400))
+    assert_matches_highs(src, tgt, p)
+    assert_matches_highs(tgt, src, p)
