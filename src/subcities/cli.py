@@ -29,14 +29,7 @@ from .planner import (
     solve_bounded,
 )
 from .semidiscrete import min_Fp_nu, radius_of_mass
-from .subcity import (
-    EnergyCurve,
-    check_atomization_condition,
-    subadditivity_threshold,
-    subcity_energy,
-    subcity_energy_d2m,
-    subcity_energy_dm,
-)
+from .subcity import EnergyCurve, check_atomization_condition, subadditivity_threshold
 
 MODES = ("plan-rn", "plan-bounded", "mu-subproblem", "energy-curve", "validate")
 
@@ -171,17 +164,10 @@ def _profiles_payload(solution: PlanSolution) -> list[dict]:
 
 
 def _run_energy_curve(cfg: RunConfig, outdir: Path) -> dict:
-    masses = np.logspace(np.log10(cfg.curve_m_min), 0.0, cfg.curve_samples)
-    rows = []
-    for m in masses:
-        rows.append(
-            (
-                m,
-                subcity_energy(cfg.f, cfg.g, cfg.p, cfg.n, float(m)),
-                subcity_energy_dm(cfg.f, cfg.g, cfg.p, cfg.n, float(m)),
-                subcity_energy_d2m(cfg.f, cfg.g, cfg.p, cfg.n, float(m)),
-            )
-        )
+    curve = EnergyCurve.build(
+        cfg.f, cfg.g, cfg.p, cfg.n, n_samples=cfg.curve_samples, m_min=cfg.curve_m_min
+    )
+    rows = list(zip(curve.masses, curve.energies, curve.denergies, curve.d2energies))
     lines = ["m,E,E',E''"] + [",".join(repr(float(v)) for v in row) for row in rows]
     (outdir / "energy_curve.csv").write_text("\n".join(lines) + "\n")
     report = check_atomization_condition(cfg.f, cfg.g, cfg.p, cfg.n)

@@ -48,6 +48,9 @@ class FunctionFamily:
                 raise ValueError("custom family needs f, f_prime and k evaluators")
         else:
             raise ValueError(f"unknown function family kind {self.kind!r}")
+        alpha = 1.0 / (self.q - 1.0)
+        object.__setattr__(self, "_alpha", alpha)
+        object.__setattr__(self, "_kappa", (self.a * self.q) ** (-alpha))
 
     @property
     def is_power_shaped(self) -> bool:
@@ -56,11 +59,11 @@ class FunctionFamily:
     # k(t) = kappa * t^alpha on t > 0 for the power catalogue
     @property
     def alpha(self) -> float:
-        return 1.0 / (self.q - 1.0)
+        return self._alpha
 
     @property
     def kappa(self) -> float:
-        return (self.a * self.q) ** (-self.alpha)
+        return self._kappa
 
     def f(self, s):
         s = np.asarray(s, dtype=float)
@@ -80,7 +83,7 @@ class FunctionFamily:
         pos = np.where(t > 0, t, 0.0)
         if self.kind == "custom":
             return np.where(t > 0, np.asarray(self.k_impl(pos), dtype=float), 0.0)
-        return np.where(t > 0, self.kappa * pos**self.alpha, 0.0)
+        return self._kappa * pos**self._alpha  # 0**alpha = 0 since alpha > 0
 
     def k_prime(self, t):
         t = np.asarray(t, dtype=float)

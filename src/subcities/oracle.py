@@ -17,7 +17,7 @@ import numpy as np
 from .errors import IncompatibleGrids, SearchSpaceTooLarge
 from .functionals import ConcentrationFamily, FunctionFamily
 from .measures import AtomicMeasure, Grid, GridDensity
-from .planner import PlanSolution
+from .planner import PlanSolution, _simplex_projection
 
 _MAX_CELLS = 64
 _MAX_SITES = 8
@@ -73,16 +73,7 @@ class BruteForceInstance:
 
 def _project_columns(pi: np.ndarray, col_sums: np.ndarray) -> np.ndarray:
     """Project each column onto its scaled simplex {x >= 0, sum x = a_j}."""
-    out = np.empty_like(pi)
-    for j in range(pi.shape[1]):
-        a = col_sums[j]
-        x = pi[:, j]
-        u = np.sort(x)[::-1]
-        css = np.cumsum(u) - a
-        rho = np.nonzero(u - css / (np.arange(len(x)) + 1) > 0)[0][-1]
-        theta = css[rho] / (rho + 1.0)
-        out[:, j] = np.maximum(x - theta, 0.0)
-    return out
+    return np.ascontiguousarray(_simplex_projection(pi.T, col_sums).T)
 
 
 def best_density_for(

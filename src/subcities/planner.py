@@ -19,7 +19,9 @@ from .functionals import ConcentrationFamily, FunctionFamily, eval_F, eval_G
 from .measures import AtomicMeasure, Domain, Grid, GridDensity
 from .semidiscrete import (
     SubcityProfile,
+    _density,
     _generic_radial,
+    _induced_cost,
     _solve_weights_best,
     _transport_term,
     _Workspace,
@@ -45,13 +47,21 @@ class PlanSolution:
     metadata: dict = field(default_factory=dict)
 
 
-def _simplex_projection(x: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u - css / (np.arange(len(x)) + 1) > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(x - theta, 0.0)
+def _simplex_projection(x: np.ndarray, total=1.0) -> np.ndarray:
+    """Euclidean projection of each row of x onto the simplex {y >= 0, sum y = total}.
+
+    A 1-D x is one row; ``total`` may be a scalar or one value per row. Every
+    row gets exactly the arithmetic of projecting it alone.
+    """
+    x = np.asarray(x, dtype=float)
+    rows = np.atleast_2d(x)
+    u = np.sort(rows, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - np.reshape(total, (-1, 1))
+    above = u - css / (np.arange(rows.shape[1]) + 1) > 0
+    rho = rows.shape[1] - 1 - np.argmax(above[:, ::-1], axis=1)  # last index above
+    theta = css[np.arange(len(rows)), rho] / (rho + 1.0)
+    out = np.maximum(rows - theta[:, None], 0.0)
+    return out if x.ndim > 1 else out[0]
 
 
 def _sum_energy(curve: EnergyCurve, masses: np.ndarray) -> float:
@@ -60,26 +70,58 @@ def _sum_energy(curve: EnergyCurve, masses: np.ndarray) -> float:
     return float(np.sum(curve.energy(pos))) if len(pos) else 0.0
 
 
-def _projected_descent(curve: EnergyCurve, x0: np.ndarray, iters: int = 200) -> np.ndarray:
-    x = _simplex_projection(np.asarray(x0, dtype=float))
-    val = _sum_energy(curve, x)
-    step = 0.1
-    for _ in range(iters):
-        grad = np.asarray(curve.denergy(np.maximum(x, 1e-9)), dtype=float)
-        moved = False
-        t = step
-        for _ in range(30):
-            x_try = _simplex_projection(x - t * grad)
-            v_try = _sum_energy(curve, x_try)
-            if v_try < val - 1e-15:
-                x, val = x_try, v_try
-                step = min(t * 2.0, 1.0)
-                moved = True
-                break
-            t *= 0.5
-        if not moved:
-            break
-    return x
+def _row_energies(curve: EnergyCurve, x: np.ndarray) -> np.ndarray:
+    """``_sum_energy`` of every row of x, bit for bit."""
+    sums = curve.energy(x).sum(axis=1)
+    if x.shape[1] >= 8:
+        # pairwise summation regroups once zeros sit between the positives
+        for i in np.nonzero((x <= 0).any(axis=1))[0]:
+            sums[i] = _sum_energy(curve, x[i])
+    return sums
+
+
+def _projected_descent(
+    curve: EnergyCurve, x0: np.ndarray, iters: int = 200, tries: int = 30
+) -> np.ndarray:
+    """Projected gradient descent with backtracking from every row of x0.
+
+    Each start runs its own iterations (at most ``iters``) and line searches
+    (at most ``tries`` halvings of its step), exactly as it would alone; the
+    starts advance in lock-step, one trial per live start per batched step,
+    so the number of steps is the longest start's trial count.
+    """
+    x = _simplex_projection(np.atleast_2d(x0))
+    val = _row_energies(curve, x)
+    n_rows = len(x)
+    step = np.full(n_rows, 0.1)
+    t = np.empty(n_rows)
+    grad = np.empty_like(x)
+    failed = np.zeros(n_rows, dtype=int)  # rejected trials in the current search
+    its = np.zeros(n_rows, dtype=int)
+    fresh = np.ones(n_rows, dtype=bool)  # starts a new iteration at this step
+    live = np.arange(n_rows)
+    while True:
+        new = live[fresh[live]]
+        if len(new):
+            live = live[~fresh[live] | (its[live] < iters)]
+            new = new[its[new] < iters]
+            grad[new] = curve.denergy(np.maximum(x[new], 1e-9))
+            t[new] = step[new]
+            failed[new] = 0
+            its[new] += 1
+            fresh[new] = False
+        if not len(live):
+            return x
+        x_try = _simplex_projection(x[live] - t[live, None] * grad[live])
+        v_try = _row_energies(curve, x_try)
+        ok = v_try < val[live] - 1e-15
+        acc, rej = live[ok], live[~ok]
+        x[acc], val[acc] = x_try[ok], v_try[ok]
+        step[acc] = np.minimum(t[acc] * 2.0, 1.0)
+        fresh[acc] = True
+        t[rej] *= 0.5
+        failed[rej] += 1
+        live = live[ok | (failed[live] < tries)]
 
 
 def _grid_search(curve: EnergyCurve, k: int, res: int = 200):
@@ -119,8 +161,7 @@ def optimize_masses(curve: EnergyCurve, k: int, seed: int = 0, n_starts: int = 2
     candidates = [np.full(k, 1.0 / k)]
     rng = np.random.default_rng(seed)
     starts = [np.full(k, 1.0 / k)] + [rng.dirichlet(np.ones(k)) for _ in range(n_starts)]
-    for x0 in starts:
-        candidates.append(_projected_descent(curve, x0))
+    candidates.extend(_projected_descent(curve, np.array(starts)))
     if k <= 3:
         candidates.append(_grid_search(curve, k)[0])
     best_val, best = np.inf, None
@@ -321,13 +362,15 @@ def solve_bounded(
     base_tol = tol if tol is not None else 1e-7
 
     def evaluate(atoms: AtomicMeasure):
-        c, residual = _solve_weights_best(atoms, f, p, grid, base_tol, max_iter)
-        t_term = induced_transport_cost(atoms, c, f, p, grid)
-        density = density_from_weights(atoms, c, f, p, grid)
+        ws = _Workspace(atoms, f, p, grid)
+        c, residual = _solve_weights_best(atoms, f, p, grid, base_tol, max_iter, ws=ws)
+        t_term = _induced_cost(ws, c)
+        density = _density(ws, c)
         f_term = eval_F(f, density)
         g_term = eval_G(g, atoms)
         return {
             "atoms": atoms,
+            "ws": ws,
             "c": c,
             "residual": residual,
             "density": density,
@@ -362,8 +405,7 @@ def solve_bounded(
     for _ in range(rounds):
         improved = False
         # position moves: full barycenter/median step, then a halved step
-        ws = _Workspace(state["atoms"], f, p, grid)
-        target_pts = _position_candidates(ws, state["c"], p)
+        target_pts = _position_candidates(state["ws"], state["c"], p)
         for blend in (1.0, 0.5):
             cand_pts = (1.0 - blend) * state["atoms"].points + blend * target_pts
             try:
@@ -394,7 +436,7 @@ def solve_bounded(
             break
 
     r_bar = radius_of_mass(f, p, omega.dim, 1.0)
-    s, winner, u, cm = _Workspace(state["atoms"], f, p, grid).stats(state["c"])
+    s, winner, u, cm = state["ws"].stats(state["c"])
     profiles = [
         SubcityProfile(
             center=tuple(pt),

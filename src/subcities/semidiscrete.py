@@ -14,6 +14,7 @@ and single-atom instances solve to machine precision.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,9 +42,7 @@ from .measures import (
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
-# concavity of the dual means the Newton direction is always an ascent
-# direction; this counter records any observed violation
-solver_stats = {"ascent_failures": 0}
+_log = logging.getLogger("subcities")
 
 
 def unit_ball_volume(n: int) -> float:
@@ -126,11 +125,19 @@ def kprime_radial_integral(f: FunctionFamily, p: float, n: int, R: float) -> flo
 
 
 def radius_of_mass(f: FunctionFamily, p: float, n: int, m: float) -> float:
-    """Invert the mass-radius relation by bisection on the monotone integral."""
+    """Invert the mass-radius relation by bisection on the monotone integral.
+
+    Results are memoised per (f, p, n, m).
+    """
     if m <= 0.0:
         raise NonpositiveMass("radius_of_mass needs m > 0")
     if m > 1.0 + 1e-12:
         raise MassOutOfRange("radius_of_mass is restricted to masses <= 1")
+    return _radius_of_mass(f, float(p), int(n), float(m))
+
+
+@lru_cache(maxsize=4096)
+def _radius_of_mass(f: FunctionFamily, p: float, n: int, m: float) -> float:
     # quadratic-f closed form seeds the bracket for every family
     hi = (m * (n + p) / (unit_ball_volume(n) * p)) ** (1.0 / (n + p))
     for _ in range(200):
@@ -199,16 +206,14 @@ class _Workspace:
         )
         self.dist_p = self.dist**p
         self._idx = np.arange(len(self.centers))
+        self._flat = self._idx * self.m  # row starts in the raveled scores
 
     def stats(self, c: np.ndarray):
         scores = c[None, :] - self.dist_p
         winner = scores.argmax(axis=1)  # first max: lowest atom index wins ties
-        s = scores[self._idx, winner]
-        active = s > 0
-        u = self.f.k(s)
-        cell_mass = np.bincount(
-            winner, weights=u * self.vol * active, minlength=self.m
-        )
+        s = scores.ravel()[self._flat + winner]
+        u = self.f.k(s)  # exactly 0 off the support (s <= 0)
+        cell_mass = np.bincount(winner, weights=u * self.vol, minlength=self.m)
         return s, winner, u, cell_mass
 
     def dual_value(self, c: np.ndarray, s: np.ndarray) -> float:
@@ -419,7 +424,8 @@ def _solve_weights_best(
             step = -r / np.maximum(np.diag(J), 1e-12)
         slope = float(-r @ step)
         if slope <= 0:
-            solver_stats["ascent_failures"] += 1
+            # the dual is concave, so the Newton direction should ascend
+            _log.warning("Newton step is not an ascent direction (slope %.3e)", slope)
             step = -r
             slope = float(r @ r)
         lam = 1.0

@@ -126,7 +126,7 @@ class EnergyCurve:
             return float(out) if scalar else out
         if scalar:
             return subcity_energy(self.f, self.g, self.p, self.n, float(m))
-        return np.array([subcity_energy(self.f, self.g, self.p, self.n, float(v)) for v in m])
+        return self._per_mass(subcity_energy, m)
 
     def denergy(self, m) -> float | np.ndarray:
         scalar = np.isscalar(m)
@@ -137,7 +137,13 @@ class EnergyCurve:
             return float(out) if scalar else out
         if scalar:
             return subcity_energy_dm(self.f, self.g, self.p, self.n, float(m))
-        return np.array([subcity_energy_dm(self.f, self.g, self.p, self.n, float(v)) for v in m])
+        return self._per_mass(subcity_energy_dm, m)
+
+    def _per_mass(self, fn, m) -> np.ndarray:
+        """fn evaluated at every entry of an array of masses, keeping its shape."""
+        marr = np.asarray(m, dtype=float)
+        vals = [fn(self.f, self.g, self.p, self.n, float(v)) for v in marr.ravel()]
+        return np.array(vals, dtype=float).reshape(marr.shape)
 
 
 @dataclass(frozen=True, eq=False)

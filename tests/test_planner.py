@@ -9,6 +9,7 @@ from subcities import (
     InvalidK,
     assemble_rn_solution,
     optimize_masses,
+    power_f,
     power_g,
     quadratic,
     radius_of_mass,
@@ -57,6 +58,149 @@ class TestOptimizeMasses:
         masses, _ = optimize_masses(curve_weak, 3, seed=1)
         assert (np.diff(masses) <= 1e-12).all()
         assert masses.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def _project_1d(x, total=1.0):
+    """Projection of one vector onto {y >= 0, sum y = total}, written out independently."""
+    u = np.sort(x)[::-1]
+    css = np.cumsum(u) - total
+    rho = np.nonzero(u - css / (np.arange(len(x)) + 1) > 0)[0][-1]
+    return np.maximum(x - css[rho] / (rho + 1.0), 0.0)
+
+
+def _energy_1d(curve, x):
+    pos = x[x > 0]
+    return float(np.sum(curve.energy(pos))) if len(pos) else 0.0
+
+
+def _descent_one_start(curve, x0, iters=200):
+    """Projected descent of a single start, one trial at a time."""
+    x = _project_1d(np.asarray(x0, dtype=float))
+    val = _energy_1d(curve, x)
+    step = 0.1
+    for _ in range(iters):
+        grad = np.asarray(curve.denergy(np.maximum(x, 1e-9)), dtype=float)
+        t = step
+        for _ in range(30):
+            x_try = _project_1d(x - t * grad)
+            v_try = _energy_1d(curve, x_try)
+            if v_try < val - 1e-15:
+                x, val = x_try, v_try
+                step = min(t * 2.0, 1.0)
+                break
+            t *= 0.5
+        else:
+            break
+    return x
+
+
+def _optimize_one_start_at_a_time(curve, k, seed, n_starts):
+    from subcities.planner import _grid_search
+
+    rng = np.random.default_rng(seed)
+    starts = [np.full(k, 1.0 / k)] + [rng.dirichlet(np.ones(k)) for _ in range(n_starts)]
+    candidates = [np.full(k, 1.0 / k)] + [_descent_one_start(curve, x0) for x0 in starts]
+    if k <= 3:
+        candidates.append(_grid_search(curve, k)[0])
+    best_val, best = np.inf, None
+    for cand in candidates:
+        v = _energy_1d(curve, cand)
+        if v < best_val - 1e-15 or best is None:
+            best_val, best = v, cand
+    return np.sort(best)[::-1], best_val
+
+
+def _custom_quadratic_curve():
+    """A curve through the quadrature route: quadratic f given as a custom family."""
+    from subcities import FunctionFamily
+
+    f = FunctionFamily(
+        kind="custom",
+        f_impl=lambda s: 0.5 * s * s,
+        f_prime_impl=lambda s: s,
+        k_impl=lambda t: t,
+        k_prime_impl=lambda t: np.ones_like(t),
+    )
+    curve = EnergyCurve.build(f, G_WEAK, 2.0, 1, n_samples=16)
+    assert curve.power_law is None
+    return curve
+
+
+class TestLockStepDescent:
+    """The batched descent reproduces the one-start-at-a-time loop bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 9])
+    @pytest.mark.parametrize("n_starts", [0, 20])
+    @pytest.mark.parametrize(
+        "shape", [(1.5, 0.3, 1.0, 2), (2.0, 0.5, 2.0, 1), (3.0, 0.7, 2.0, 2)]
+    )
+    def test_optimize_masses_power_law(self, k, n_starts, shape):
+        q, r, p, n = shape
+        curve = EnergyCurve.build(power_f(1.0, q), power_g(0.3, r), p, n)
+        assert curve.power_law is not None
+        masses, value = optimize_masses(curve, k, seed=11 * k + n_starts, n_starts=n_starts)
+        ref_masses, ref_value = _optimize_one_start_at_a_time(
+            curve, k, 11 * k + n_starts, n_starts
+        )
+        assert np.array_equal(masses, ref_masses)
+        assert value == ref_value
+
+    @pytest.mark.parametrize("k, n_starts", [(2, 0), (4, 1)])
+    def test_optimize_masses_custom_family(self, k, n_starts):
+        curve = _custom_quadratic_curve()
+        masses, value = optimize_masses(curve, k, seed=3, n_starts=n_starts)
+        ref_masses, ref_value = _optimize_one_start_at_a_time(curve, k, 3, n_starts)
+        assert np.array_equal(masses, ref_masses)
+        assert value == ref_value
+
+    @pytest.mark.parametrize("k", [3, 9])
+    def test_every_start_endpoint(self, k):
+        from subcities.planner import _projected_descent
+
+        curve = EnergyCurve.build(F, power_g(0.1, 0.4), 2.0, 2)
+        starts = np.random.default_rng(k).dirichlet(np.ones(k), size=12)
+        starts[0] = np.eye(k)[0]  # a vertex: zeros from the first step on
+        ends = _projected_descent(curve, starts)
+        for x0, end in zip(starts, ends):
+            assert np.array_equal(end, _descent_one_start(curve, x0))
+
+    def test_row_energies_match_sum_over_positives(self):
+        from subcities.planner import _row_energies
+
+        curve = EnergyCurve.build(F, power_g(0.1, 0.4), 2.0, 2)
+        rng = np.random.default_rng(2)
+        for k in range(1, 13):
+            x = rng.dirichlet(np.ones(k), size=40)
+            x[rng.random(x.shape) < 0.3] = 0.0
+            x[:, 0] += 1e-3  # no empty row
+            want = [_energy_1d(curve, row) for row in x]
+            assert _row_energies(curve, x).tolist() == want
+
+    def test_projection_rows_match_single_vectors(self):
+        from subcities.planner import _simplex_projection
+
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            k = int(rng.integers(1, 12))
+            x = rng.normal(size=(int(rng.integers(1, 6)), k)) * rng.choice([1e-3, 1.0, 1e2])
+            x[rng.random(x.shape) < 0.3] = 0.0
+            got = _simplex_projection(x)
+            assert got.shape == x.shape
+            for row, want in zip(got, x):
+                assert np.array_equal(row, _project_1d(want))
+            assert np.array_equal(_simplex_projection(x[0]), _project_1d(x[0]))
+
+    def test_projection_per_row_totals(self):
+        from subcities.planner import _simplex_projection
+
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(5, 7))
+        totals = rng.uniform(0.1, 3.0, 5)
+        got = _simplex_projection(x, totals)
+        assert (got >= 0).all()
+        assert got.sum(axis=1) == pytest.approx(totals, rel=1e-12)
+        for row, want, total in zip(got, x, totals):
+            assert np.array_equal(row, _project_1d(want, total))
 
 
 class TestSolveAtomicProblem:

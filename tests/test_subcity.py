@@ -136,6 +136,33 @@ class TestDerivatives:
             assert subcity_energy_d2m(f, g, 2.0, 2, float(m)) < 0
 
 
+class TestEnergyCurveBuild:
+    @pytest.mark.parametrize(
+        "f,g,p,n",
+        [
+            (quadratic(), SQRT_G, 2.0, 2),
+            (power_f(1.3, 3.0), power_g(1.1, 0.6), 1.5, 1),
+        ],
+    )
+    def test_samples_equal_per_mass_evaluations(self, f, g, p, n):
+        curve = EnergyCurve.build(f, g, p, n, n_samples=24, m_min=1e-4)
+        for i, m in enumerate(curve.masses):
+            m = float(m)
+            assert curve.energies[i] == subcity_energy(f, g, p, n, m)
+            assert curve.denergies[i] == subcity_energy_dm(f, g, p, n, m)
+            assert curve.d2energies[i] == subcity_energy_d2m(f, g, p, n, m)
+
+    def test_memoised_radius_matches_a_cold_inversion(self):
+        from subcities.semidiscrete import _radius_of_mass
+
+        f = power_f(1.3, 3.0)
+        warm = [radius_of_mass(f, 1.5, 2, m) for m in (0.01, np.float64(0.3), 1.0)]
+        _radius_of_mass.cache_clear()
+        cold = [radius_of_mass(f, 1.5, 2, m) for m in (0.01, 0.3, np.float64(1.0))]
+        assert warm == cold
+        assert _radius_of_mass.cache_info().currsize == 3
+
+
 class TestAtomizationCondition:
     def test_power_families_satisfied(self):
         report = check_atomization_condition(quadratic(), SQRT_G, 2.0, 2)
