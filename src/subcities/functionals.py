@@ -11,6 +11,7 @@ user-supplied evaluators for experimentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -48,22 +49,20 @@ class FunctionFamily:
                 raise ValueError("custom family needs f, f_prime and k evaluators")
         else:
             raise ValueError(f"unknown function family kind {self.kind!r}")
-        alpha = 1.0 / (self.q - 1.0)
-        object.__setattr__(self, "_alpha", alpha)
-        object.__setattr__(self, "_kappa", (self.a * self.q) ** (-alpha))
 
     @property
     def is_power_shaped(self) -> bool:
         return self.kind in ("quadratic", "power")
 
-    # k(t) = kappa * t^alpha on t > 0 for the power catalogue
-    @property
+    # k(t) = kappa * t^alpha on t > 0 for the power catalogue; computed on
+    # first use, so a custom family's unused q is never checked
+    @cached_property
     def alpha(self) -> float:
-        return self._alpha
+        return 1.0 / (self.q - 1.0)
 
-    @property
+    @cached_property
     def kappa(self) -> float:
-        return self._kappa
+        return (self.a * self.q) ** (-self.alpha)
 
     def f(self, s):
         s = np.asarray(s, dtype=float)
@@ -83,7 +82,7 @@ class FunctionFamily:
         pos = np.where(t > 0, t, 0.0)
         if self.kind == "custom":
             return np.where(t > 0, np.asarray(self.k_impl(pos), dtype=float), 0.0)
-        return self._kappa * pos**self._alpha  # 0**alpha = 0 since alpha > 0
+        return self.kappa * pos**self.alpha  # 0**alpha = 0 since alpha > 0
 
     def k_prime(self, t):
         t = np.asarray(t, dtype=float)

@@ -50,18 +50,15 @@ class PlanSolution:
 def _simplex_projection(x: np.ndarray, total=1.0) -> np.ndarray:
     """Euclidean projection of each row of x onto the simplex {y >= 0, sum y = total}.
 
-    A 1-D x is one row; ``total`` may be a scalar or one value per row. Every
-    row gets exactly the arithmetic of projecting it alone.
+    x is a (rows, k) array; ``total`` may be a scalar or one value per row.
+    Every row gets exactly the arithmetic of projecting it alone.
     """
-    x = np.asarray(x, dtype=float)
-    rows = np.atleast_2d(x)
-    u = np.sort(rows, axis=1)[:, ::-1]
+    u = np.sort(x, axis=1)[:, ::-1]
     css = np.cumsum(u, axis=1) - np.reshape(total, (-1, 1))
-    above = u - css / (np.arange(rows.shape[1]) + 1) > 0
-    rho = rows.shape[1] - 1 - np.argmax(above[:, ::-1], axis=1)  # last index above
-    theta = css[np.arange(len(rows)), rho] / (rho + 1.0)
-    out = np.maximum(rows - theta[:, None], 0.0)
-    return out if x.ndim > 1 else out[0]
+    above = u - css / (np.arange(x.shape[1]) + 1) > 0
+    rho = x.shape[1] - 1 - np.argmax(above[:, ::-1], axis=1)  # last index above
+    theta = css[np.arange(len(x)), rho] / (rho + 1.0)
+    return np.maximum(x - theta[:, None], 0.0)
 
 
 def _sum_energy(curve: EnergyCurve, masses: np.ndarray) -> float:
@@ -80,17 +77,15 @@ def _row_energies(curve: EnergyCurve, x: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _projected_descent(
-    curve: EnergyCurve, x0: np.ndarray, iters: int = 200, tries: int = 30
-) -> np.ndarray:
-    """Projected gradient descent with backtracking from every row of x0.
+def _projected_descent(curve: EnergyCurve, x0: np.ndarray, iters: int = 200) -> np.ndarray:
+    """Projected gradient descent with backtracking from every row of x0 (starts, k).
 
     Each start runs its own iterations (at most ``iters``) and line searches
-    (at most ``tries`` halvings of its step), exactly as it would alone; the
-    starts advance in lock-step, one trial per live start per batched step,
-    so the number of steps is the longest start's trial count.
+    (at most 30 halvings of its step), exactly as it would alone; the starts
+    advance in lock-step, one trial per live start per batched step, so the
+    number of steps is the longest start's trial count.
     """
-    x = _simplex_projection(np.atleast_2d(x0))
+    x = _simplex_projection(x0)
     val = _row_energies(curve, x)
     n_rows = len(x)
     step = np.full(n_rows, 0.1)
@@ -121,7 +116,7 @@ def _projected_descent(
         fresh[acc] = True
         t[rej] *= 0.5
         failed[rej] += 1
-        live = live[ok | (failed[live] < tries)]
+        live = live[ok | (failed[live] < 30)]
 
 
 def _grid_search(curve: EnergyCurve, k: int, res: int = 200):

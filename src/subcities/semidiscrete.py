@@ -127,17 +127,19 @@ def kprime_radial_integral(f: FunctionFamily, p: float, n: int, R: float) -> flo
 def radius_of_mass(f: FunctionFamily, p: float, n: int, m: float) -> float:
     """Invert the mass-radius relation by bisection on the monotone integral.
 
-    Results are memoised per (f, p, n, m).
+    Results are memoised per (f, p, n, m) for the power catalogue; a custom
+    family's evaluators may be unhashable or stateful, so it is never cached.
     """
     if m <= 0.0:
         raise NonpositiveMass("radius_of_mass needs m > 0")
     if m > 1.0 + 1e-12:
         raise MassOutOfRange("radius_of_mass is restricted to masses <= 1")
-    return _radius_of_mass(f, float(p), int(n), float(m))
+    if f.is_power_shaped:
+        return _radius_of_mass(f, float(p), int(n), float(m))
+    return _invert_mass(f, p, n, m)
 
 
-@lru_cache(maxsize=4096)
-def _radius_of_mass(f: FunctionFamily, p: float, n: int, m: float) -> float:
+def _invert_mass(f: FunctionFamily, p: float, n: int, m: float) -> float:
     # quadratic-f closed form seeds the bracket for every family
     hi = (m * (n + p) / (unit_ball_volume(n) * p)) ** (1.0 / (n + p))
     for _ in range(200):
@@ -159,6 +161,9 @@ def _radius_of_mass(f: FunctionFamily, p: float, n: int, m: float) -> float:
         if hi - lo <= 1e-17 * max(1.0, hi):
             break
     return 0.5 * (lo + hi)
+
+
+_radius_of_mass = lru_cache(maxsize=4096)(_invert_mass)
 
 
 @dataclass(frozen=True, eq=False)

@@ -142,3 +142,15 @@ def test_custom_family_hooks():
         g_second_impl=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
     )
     assert float(g.g(0.5)) == 0.0
+
+
+def test_custom_family_ignores_the_power_exponent():
+    # q only shapes the power catalogue; a custom family never reads it
+    f = FunctionFamily(
+        kind="custom",
+        q=1.0,
+        f_impl=lambda s: s**2 / 2,
+        f_prime_impl=lambda s: s,
+        k_impl=lambda t: t,
+    )
+    assert k_of(f, 0.7) == pytest.approx(0.7)

@@ -188,7 +188,7 @@ class TestLockStepDescent:
             assert got.shape == x.shape
             for row, want in zip(got, x):
                 assert np.array_equal(row, _project_1d(want))
-            assert np.array_equal(_simplex_projection(x[0]), _project_1d(x[0]))
+            assert np.array_equal(_simplex_projection(x[:1])[0], _project_1d(x[0]))
 
     def test_projection_per_row_totals(self):
         from subcities.planner import _simplex_projection

@@ -6,6 +6,7 @@ from subcities import (
     ConcentrationFamily,
     Domain,
     EnergyCurve,
+    FunctionFamily,
     Grid,
     MassOutOfRange,
     check_atomization_condition,
@@ -161,6 +162,26 @@ class TestEnergyCurveBuild:
         cold = [radius_of_mass(f, 1.5, 2, m) for m in (0.01, 0.3, np.float64(1.0))]
         assert warm == cold
         assert _radius_of_mass.cache_info().currsize == 3
+
+    def test_custom_family_radius_follows_its_evaluators(self):
+        # a custom k may be unhashable or change between calls: never cached
+        class ScaledK:
+            __hash__ = None
+
+            def __init__(self):
+                self.c = 1.0
+
+            def __call__(self, t):
+                return self.c * np.asarray(t, dtype=float)
+
+        k = ScaledK()
+        f = FunctionFamily(
+            kind="custom", f_impl=lambda s: s * s / (2 * k.c), f_prime_impl=lambda s: s / k.c, k_impl=k
+        )
+        for c in (1.0, 4.0):
+            k.c = c
+            # p = 2, n = 1: m = c * (4/3) R^3
+            assert radius_of_mass(f, 2.0, 1, 0.5) == pytest.approx((0.375 / c) ** (1 / 3), rel=1e-9)
 
 
 class TestAtomizationCondition:
