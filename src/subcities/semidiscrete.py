@@ -3,8 +3,10 @@
 Given atoms with masses, the optimal density is a truncated radial profile
 around each atom pinned by one weight per atom: u(x) = k(max_i(c_i - |x-x_i|^p) v 0).
 Weights are solved so each atom's cell carries exactly its mass, by damped
-Newton on the concave dual with a boundary-coupled Jacobian, falling back
-to per-coordinate bisection sweeps.
+Newton on the concave dual with a boundary-coupled Jacobian. If Newton stops
+above the tolerance, one monotone pass (a per-coordinate bisection sweep,
+then a uniform shift balancing the total mass) starts from its best iterate
+and is kept only if it lowers the residual.
 
 Hard cell assignment on a grid makes the per-atom mass map piecewise smooth
 with jumps of order (boundary density) * (cell volume), so that is the
@@ -241,25 +243,18 @@ class _Workspace:
         gap = s - scores[self._idx, runner]
         p = self.p
         h = self.grid.cell_diameter
-        d1 = self.dist[self._idx, winner]
-        d2 = self.dist[self._idx, runner]
-        pre = active & (gap <= p * (d1 ** (p - 1.0) + d2 ** (p - 1.0)) * h)
-        ii = np.nonzero(pre)[0]
-        if len(ii) == 0:
-            return J
+        ii = np.nonzero(active)[0]
         a, b = winner[ii], runner[ii]
 
         def _grad(rows, cols):
             d = self.dist[rows, cols][:, None]
             vec = self.centers[rows] - self.atoms.points[cols]
-            scale = np.where(d > 0, d ** (p - 2.0), 0.0)
+            scale = np.where(d > 0, d, 1.0) ** (p - 2.0)  # vec is 0 where d is 0
             return p * scale * vec
 
         grad_gap = np.linalg.norm(_grad(ii, b) - _grad(ii, a), axis=1)
         tau = np.maximum(grad_gap * h, 1e-14)
         on = gap[ii] <= tau
-        if not on.any():
-            return J
         coupling = self.f.k(s[ii][on]) * self.vol / tau[on]
         aa, bb = a[on], b[on]
         np.add.at(J, (aa, bb), -coupling)
@@ -292,7 +287,7 @@ def cell_masses(
     return ws.stats(weights)[3]
 
 
-def _coordinate_sweep(ws: _Workspace, c: np.ndarray, targets: np.ndarray, iters: int = 48):
+def _coordinate_sweep(ws: _Workspace, c: np.ndarray, targets: np.ndarray):
     """Gauss-Seidel pass: bisect each weight to its own mass balance."""
     c = c.copy()
     for i in range(ws.m):
@@ -307,7 +302,7 @@ def _coordinate_sweep(ws: _Workspace, c: np.ndarray, targets: np.ndarray, iters:
             raise GridTooCoarse(
                 f"atom {i} cannot reach its target mass on this grid"
             )
-        for _ in range(iters):
+        for _ in range(48):
             mid = 0.5 * (lo + hi)
             trial = c.copy()
             trial[i] = mid
@@ -354,9 +349,10 @@ def solve_weights(
 
     Damped Newton ascends the concave dual (gradient: atom masses minus cell
     masses); the Jacobian couples neighboring cells through their shared
-    boundary layer. A per-coordinate bisection sweep plus a total-mass level
-    polish takes over if Newton stalls. Raises NoConvergence with the best
-    residual when the requested tolerance is out of reach for the grid.
+    boundary layer. If Newton ends above ``tol``, one pass of per-coordinate
+    bisection plus a total-mass level polish runs from its best iterate.
+    Raises NoConvergence with the best residual when the requested tolerance
+    is out of reach for the grid.
     """
     return _solve_weights(atoms, f, p, grid, tol, max_iter)[0]
 
@@ -395,7 +391,7 @@ def _solve_weights_best(
     # grant every starving atom its cheapest winnable cell; atoms may steal
     # from each other, so iterate and give up only if that cycles
     for _ in range(2 * ws.m + 2):
-        lacking = [i for i in range(ws.m) if targets[i] > 0 and cm[i] <= 0]
+        lacking = [i for i in range(ws.m) if cm[i] <= 0]
         if not lacking:
             break
         for i in lacking:
@@ -415,10 +411,8 @@ def _solve_weights_best(
     best_c = c.copy()
     best_res = float(np.abs(cm - targets).max())
     phi = ws.dual_value(c, s)
-    newton_budget = max_iter
     it = 0
-    stalled = False
-    while it < newton_budget and best_res > tol:
+    while it < max_iter and best_res > tol:
         it += 1
         r = cm - targets
         J = ws.full_jacobian(c)
@@ -440,8 +434,7 @@ def _solve_weights_best(
             c_try = c + lam * step
             s2, _, _, cm2 = ws.stats(c_try)
             phi2 = ws.dual_value(c_try, s2)
-            support_ok = ((cm2 > 0) | (targets <= 0)).all()
-            if support_ok and phi2 >= phi + 1e-4 * lam * slope - 1e-13 * (1.0 + abs(phi)):
+            if phi2 >= phi + 1e-4 * lam * slope - 1e-13 * (1.0 + abs(phi)):
                 c, s, cm, phi = c_try, s2, cm2, phi2
                 accepted = True
                 break
@@ -452,20 +445,13 @@ def _solve_weights_best(
         if not accepted or (
             it > 10 and res > tol and phi <= phi_prev + 1e-15 * (1.0 + abs(phi_prev))
         ):
-            stalled = True
             break
     if best_res > tol:
-        # fallback: monotone per-coordinate bisection plus level re-balance
-        sweeps = 12 if stalled or it >= newton_budget else 4
-        c = best_c.copy()
-        for _ in range(sweeps):
-            c = _coordinate_sweep(ws, c, targets)
-            c = _level_polish(ws, c, float(targets.sum()))
-            res = float(np.abs(ws.stats(c)[3] - targets).max())
-            if res < best_res:
-                best_res, best_c = res, c.copy()
-            if best_res <= tol:
-                break
+        # one monotone pass: per-coordinate bisection, then a level re-balance
+        c = _level_polish(ws, _coordinate_sweep(ws, best_c, targets), float(targets.sum()))
+        res = float(np.abs(ws.stats(c)[3] - targets).max())
+        if res < best_res:
+            best_res, best_c = res, c
     return best_c, best_res
 
 

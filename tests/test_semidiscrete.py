@@ -226,6 +226,34 @@ class TestSolveWeights:
             masses = cell_masses(atoms, w, f, p, grid1d(0, 1, 400))
             assert np.abs(masses - 0.5).max() <= 1e-8
 
+    @staticmethod
+    def _floor_solve(atoms, p, grid):
+        # the documented floor u_max * h^n, u_max = k(R(m_max)^p)
+        f = quadratic()
+        r = radius_of_mass(f, p, grid.domain.dim, float(atoms.masses.max()))
+        tol = float(f.k(np.array([r**p]))[0]) * grid.cell_volume
+        w = solve_weights(atoms, f, p, grid, tol=tol)
+        assert w.residual <= tol
+
+    def test_newton_may_empty_a_cell_on_the_way(self):
+        # a line search that rejects steps leaving an atom without a cell
+        # stalls here at 3x the floor; the Armijo test alone reaches 0.95x
+        atoms = AtomicMeasure(
+            [[0.236118], [0.409815], [0.588668], [0.764406]],
+            [0.186266, 0.227732, 0.273247, 0.312755],
+        )
+        self._floor_solve(atoms, 1.0, grid1d(0, 1, 256))
+
+    def test_stalled_newton_ends_with_sweep_and_polish(self):
+        # Newton alone, the sweep alone and the polish alone all stop near
+        # 1.025x the floor; one sweep plus polish reaches 0.855x
+        atoms = AtomicMeasure(
+            [[0.378, 0.6887], [0.401, 0.3089], [0.7229, 0.5182]],
+            [0.2448, 0.3273, 0.4279],
+        )
+        grid = Grid(Domain.box([(0, 1), (0, 1)]), (16, 16))
+        self._floor_solve(atoms, 2.0, grid)
+
 
 class TestStructureInvariants:
     def test_support_inside_balls_and_radius_bound(self):
