@@ -381,20 +381,6 @@ def solve_bounded(
         except SubcitiesError:
             return None
 
-    def _exchange_candidates(atoms: AtomicMeasure):
-        if len(atoms) < 2:
-            return
-        d = np.linalg.norm(atoms.points[:, None] - atoms.points[None, :], axis=2)
-        np.fill_diagonal(d, np.inf)
-        for i in range(len(atoms)):
-            j = int(d[i].argmin())
-            for frac in (0.25, 0.0625):
-                delta = frac * min(atoms.masses[i], atoms.masses[j])
-                yield _transfer(atoms, i, j, delta)
-                yield _transfer(atoms, j, i, delta)
-            small, big = (i, j) if atoms.masses[i] <= atoms.masses[j] else (j, i)
-            yield _transfer(atoms, small, big, None)
-
     state = evaluate(init)
     history = [state["total"]]
     for _ in range(rounds):
@@ -415,8 +401,6 @@ def solve_bounded(
         # mass exchanges, rescanning after every accepted move
         for _ in range(24):
             for cand in _exchange_candidates(state["atoms"]):
-                if cand is None:
-                    continue
                 trial = try_evaluate(cand)
                 if trial is not None and trial["total"] < state["total"] - 1e-12:
                     state = trial
@@ -472,6 +456,36 @@ def solve_bounded(
         objective=objective,
         metadata=metadata,
     )
+
+
+def _exchange_candidates(atoms: AtomicMeasure):
+    """Mass transfers and the merge between each atom and its nearest one.
+
+    Each distinct candidate is yielded once per scan: a mutual nearest pair
+    would otherwise yield its transfers (and, unless the masses are equal,
+    its merge) from both sides.
+    """
+    if len(atoms) < 2:
+        return
+    d = np.linalg.norm(atoms.points[:, None] - atoms.points[None, :], axis=2)
+    np.fill_diagonal(d, np.inf)
+    seen = set()
+    for i in range(len(atoms)):
+        j = int(d[i].argmin())
+        moves = []
+        for frac in (0.25, 0.0625):
+            delta = frac * min(atoms.masses[i], atoms.masses[j])
+            moves += [(i, j, delta), (j, i, delta)]
+        small, big = (i, j) if atoms.masses[i] <= atoms.masses[j] else (j, i)
+        moves.append((small, big, None))
+        for src, dst, delta in moves:
+            cand = _transfer(atoms, src, dst, delta)
+            if cand is None:
+                continue
+            key = (cand.points.tobytes(), cand.masses.tobytes())
+            if key not in seen:
+                seen.add(key)
+                yield cand
 
 
 def _transfer(atoms: AtomicMeasure, src: int, dst: int, delta: float | None):

@@ -3,10 +3,13 @@
 Given atoms with masses, the optimal density is a truncated radial profile
 around each atom pinned by one weight per atom: u(x) = k(max_i(c_i - |x-x_i|^p) v 0).
 Weights are solved so each atom's cell carries exactly its mass, by damped
-Newton on the concave dual with a boundary-coupled Jacobian. If Newton stops
-above the tolerance, one monotone pass (a per-coordinate bisection sweep,
-then a uniform shift balancing the total mass) starts from its best iterate
-and is kept only if it lowers the residual.
+Newton on the concave dual with a boundary-coupled Jacobian. The Armijo line
+search evaluates its step factors in batches, one workspace ``stats`` call
+per batch, and accepts the first passing factor in order; the Jacobian's
+cell geometry is cached per workspace. If Newton stops above the tolerance,
+one monotone pass (a per-coordinate bisection sweep, then a uniform shift
+balancing the total mass) starts from its best iterate and is kept only if
+it lowers the residual.
 
 Hard cell assignment on a grid makes the per-atom mass map piecewise smooth
 with jumps of order (boundary density) * (cell volume), so that is the
@@ -19,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -216,52 +219,69 @@ class _Workspace:
         self._flat = self._idx * self.m  # row starts in the raveled scores
 
     def stats(self, c: np.ndarray):
-        scores = c[None, :] - self.dist_p
-        winner = scores.argmax(axis=1)  # first max: lowest atom index wins ties
-        s = scores.ravel()[self._flat + winner]
-        u = self.f.k(s)  # exactly 0 off the support (s <= 0)
-        cell_mass = np.bincount(winner, weights=u * self.vol, minlength=self.m)
-        return s, winner, u, cell_mass
+        """Winning score, winner, density and winner's cell mass per cell.
+
+        ``c`` is one weight vector, shape (m,), or a batch of them, shape
+        (T, m); a batch's outputs carry the batch axis first, and each of
+        its rows is bit for bit what that row's weights give alone.
+        """
+        batch = c.ndim == 2
+        scores = (c[:, None, :] if batch else c) - self.dist_p
+        winner = scores.argmax(axis=-1)  # first max: lowest atom index wins ties
+        if not batch:
+            s = scores.ravel()[self._flat + winner]
+            u = self.f.k(s)  # exactly 0 off the support (s <= 0)
+            return s, winner, u, np.bincount(winner, weights=u * self.vol, minlength=self.m)
+        # row t of the batch starts at t*n*m in the raveled scores and at
+        # t*m in the raveled cell masses, which bincount sums in cell order
+        rows = np.arange(len(c))[:, None]
+        s = scores.ravel()[self._flat + self.dist_p.size * rows + winner]
+        u = self.f.k(s.ravel()).reshape(s.shape)  # evaluators see 1-D arrays
+        cell_mass = np.bincount(
+            (winner + self.m * rows).ravel(), weights=(u * self.vol).ravel(), minlength=c.size
+        )
+        return s, winner, u, cell_mass.reshape(c.shape)
 
     def dual_value(self, c: np.ndarray, s: np.ndarray) -> float:
         return float(c @ self.atoms.masses) - float(
             self.f.conjugate(np.maximum(s, 0.0)).sum() * self.vol
         )
 
+    @cached_property
+    def _grads(self) -> np.ndarray:
+        """Gradient in x of |x - x_i|^p at every cell center, shape (n, m, dim)."""
+        d = self.dist[:, :, None]
+        vec = self.centers[:, None, :] - self.atoms.points[None, :, :]
+        scale = np.where(d > 0, d, 1.0) ** (self.p - 2.0)  # vec is 0 where d is 0
+        return self.p * scale * vec
+
     def full_jacobian(self, c: np.ndarray) -> np.ndarray:
         """Mass sensitivity: diagonal response plus cell-boundary coupling."""
+        m = self.m
         scores = c[None, :] - self.dist_p
         winner = scores.argmax(axis=1)
         s = scores[self._idx, winner]
         active = s > 0
-        J = np.zeros((self.m, self.m))
-        np.add.at(J, (winner, winner), self.f.k_prime(s) * self.vol * active)
-        if self.m == 1:
-            return J
-        scores[self._idx, winner] = -np.inf
-        runner = scores.argmax(axis=1)
-        gap = s - scores[self._idx, runner]
-        p = self.p
-        h = self.grid.cell_diameter
-        ii = np.nonzero(active)[0]
-        a, b = winner[ii], runner[ii]
-
-        def _grad(rows, cols):
-            d = self.dist[rows, cols][:, None]
-            vec = self.centers[rows] - self.atoms.points[cols]
-            scale = np.where(d > 0, d, 1.0) ** (p - 2.0)  # vec is 0 where d is 0
-            return p * scale * vec
-
-        grad_gap = np.linalg.norm(_grad(ii, b) - _grad(ii, a), axis=1)
-        tau = np.maximum(grad_gap * h, 1e-14)
-        on = gap[ii] <= tau
-        coupling = self.f.k(s[ii][on]) * self.vol / tau[on]
-        aa, bb = a[on], b[on]
-        np.add.at(J, (aa, bb), -coupling)
-        np.add.at(J, (bb, aa), -coupling)
-        np.add.at(J, (aa, aa), coupling)
-        np.add.at(J, (bb, bb), coupling)
-        return J
+        # raveled J entries and their terms; bincount sums each entry's terms
+        # in list order: the diagonal response, then the (a, b), (b, a),
+        # (a, a) and (b, b) boundary couplings
+        keys = [winner * (m + 1)]
+        terms = [self.f.k_prime(s) * self.vol * active]
+        if m > 1:
+            scores[self._idx, winner] = -np.inf
+            runner = scores.argmax(axis=1)
+            gap = s - scores[self._idx, runner]
+            ii = np.nonzero(active)[0]
+            a, b = winner[ii], runner[ii]
+            grad_gap = np.linalg.norm(self._grads[ii, b] - self._grads[ii, a], axis=1)
+            tau = np.maximum(grad_gap * self.grid.cell_diameter, 1e-14)
+            on = gap[ii] <= tau
+            coupling = self.f.k(s[ii][on]) * self.vol / tau[on]
+            aa, bb = a[on], b[on]
+            keys += [aa * m + bb, bb * m + aa, aa * (m + 1), bb * (m + 1)]
+            terms += [-coupling, -coupling, coupling, coupling]
+        J = np.bincount(np.concatenate(keys), weights=np.concatenate(terms), minlength=m * m)
+        return J.reshape(m, m)
 
 
 def density_from_weights(
@@ -330,6 +350,10 @@ def _level_polish(ws: _Workspace, c: np.ndarray, total: float):
         hi *= 2.0
     for _ in range(100):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            # no float lies between lo and hi: whatever the mass at mid,
+            # this and every later step leave 0.5 * (lo + hi) equal to mid
+            break
         if mass_at(mid) < total:
             lo = mid
         else:
@@ -427,22 +451,14 @@ def _solve_weights_best(
             _log.warning("Newton step is not an ascent direction (slope %.3e)", slope)
             step = -r
             slope = float(r @ r)
-        lam = 1.0
-        accepted = False
         phi_prev = phi
-        while lam > 1e-13:
-            c_try = c + lam * step
-            s2, _, _, cm2 = ws.stats(c_try)
-            phi2 = ws.dual_value(c_try, s2)
-            if phi2 >= phi + 1e-4 * lam * slope - 1e-13 * (1.0 + abs(phi)):
-                c, s, cm, phi = c_try, s2, cm2, phi2
-                accepted = True
-                break
-            lam *= 0.5
+        found = _line_search(ws, c, step, phi, slope)
+        if found is not None:
+            c, cm, phi = found
         res = float(np.abs(cm - targets).max())
         if res < best_res:
             best_res, best_c = res, c.copy()
-        if not accepted or (
+        if found is None or (
             it > 10 and res > tol and phi <= phi_prev + 1e-15 * (1.0 + abs(phi_prev))
         ):
             break
@@ -453,6 +469,42 @@ def _solve_weights_best(
         if res < best_res:
             best_res, best_c = res, c
     return best_c, best_res
+
+
+# Newton step factors 2^0 ... 2^-43, every power of two above 1e-13, and the
+# cells x atoms x trials cap on one batched line-search stats call, which
+# bounds its (trials, cells, atoms) temporaries at 256 KiB
+_STEP_FACTORS = 0.5 ** np.arange(44)
+_TRIAL_BUDGET = 1 << 15
+
+
+def _line_search(ws: _Workspace, c: np.ndarray, step: np.ndarray, phi: float, slope: float):
+    """Armijo backtracking along ``step``: the first passing step factor.
+
+    Factors are tried in order, as a one-at-a-time halving loop tries them,
+    but in batches of one ``stats`` call each: a single trial first (the
+    full step passes often), then 2, 4, 8, ... up to the trial budget.
+    Returns (weights, cell masses, dual value) of the accepted trial, or
+    None when no factor passes.
+    """
+    masses = ws.atoms.masses
+    slack = 1e-13 * (1.0 + abs(phi))
+    cap = max(1, _TRIAL_BUDGET // ws.dist_p.size)
+    start, width = 0, 1
+    while start < len(_STEP_FACTORS):
+        lams = _STEP_FACTORS[start : start + width]
+        trials = c + lams[:, None] * step
+        s, _, u, cm = ws.stats(trials)
+        # f*(max(s, 0)) from the density: k(max(s, 0)) == k(s) == u
+        fu = ws.f.f(u.ravel()).reshape(u.shape)
+        conj = np.where(s > 0, s * u - fu, 0.0).sum(axis=1) * ws.vol
+        for t, lam in enumerate(lams.tolist()):
+            phi2 = float(trials[t] @ masses) - float(conj[t])
+            if phi2 >= phi + 1e-4 * lam * slope - slack:
+                return trials[t], cm[t], phi2
+        start += width
+        width = min(2 * width, cap)
+    return None
 
 
 def induced_transport_cost(

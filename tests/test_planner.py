@@ -352,3 +352,51 @@ class TestMergeProperty:
             merged = subcity_energy(F, g, 2.0, 1, s + t)
             split = subcity_energy(F, g, 2.0, 1, s) + subcity_energy(F, g, 2.0, 1, t)
             assert merged <= split + 1e-10
+
+
+def _candidates_with_repeats(atoms):
+    """The exchange scan written out plainly, repeats and all."""
+    from subcities.planner import _transfer
+
+    d = np.linalg.norm(atoms.points[:, None] - atoms.points[None, :], axis=2)
+    np.fill_diagonal(d, np.inf)
+    out = []
+    for i in range(len(atoms)):
+        j = int(d[i].argmin())
+        for frac in (0.25, 0.0625):
+            delta = frac * min(atoms.masses[i], atoms.masses[j])
+            out += [_transfer(atoms, i, j, delta), _transfer(atoms, j, i, delta)]
+        small, big = (i, j) if atoms.masses[i] <= atoms.masses[j] else (j, i)
+        out.append(_transfer(atoms, small, big, None))
+    return [cand for cand in out if cand is not None]
+
+
+def _key(atoms):
+    return atoms.points.tobytes(), atoms.masses.tobytes()
+
+
+class TestExchangeCandidates:
+    def test_first_occurrences_in_scan_order(self):
+        from subcities.planner import _exchange_candidates
+
+        rng = np.random.default_rng(5)
+        repeats = 0
+        for _ in range(40):
+            k, dim = int(rng.integers(2, 6)), int(rng.integers(1, 3))
+            masses = rng.dirichlet(np.ones(k))
+            if rng.random() < 0.3:
+                masses = np.full(k, 1.0 / k)
+            atoms = AtomicMeasure(rng.uniform(0, 1, (k, dim)), masses)
+            got = [_key(cand) for cand in _exchange_candidates(atoms)]
+            want = list(dict.fromkeys(_key(cand) for cand in _candidates_with_repeats(atoms)))
+            assert got == want
+            repeats += len(_candidates_with_repeats(atoms)) - len(want)
+        assert repeats > 0
+
+    def test_equal_mass_pair_yields_both_merges(self):
+        from subcities.planner import _exchange_candidates
+
+        atoms = AtomicMeasure([[0.3], [0.7]], [0.5, 0.5])
+        merges = [cand for cand in _exchange_candidates(atoms) if len(cand) == 1]
+        assert sorted(float(cand.points[0, 0]) for cand in merges) == [0.3, 0.7]
+        assert all(cand.masses[0] == 1.0 for cand in merges)

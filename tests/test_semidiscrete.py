@@ -175,6 +175,50 @@ class TestWorkspaceStats:
         atoms = AtomicMeasure([[0.2], [0.5], [0.8]], [0.3, 0.3, 0.4])
         self._check(atoms, f, grid1d(0, 1, 64), [0.01, 0.03, -0.01], k_impl)
 
+    @pytest.mark.parametrize("T", [1, 3, 44])
+    def test_batched_rows_equal_single_calls(self, T):
+        from subcities import FunctionFamily
+        from subcities.semidiscrete import _Workspace
+
+        f = power_f(1.2, 2.5)
+        kappa = (f.a * f.q) ** (-1.0 / (f.q - 1.0))
+        k_pos = lambda t: kappa * t ** (1.0 / (f.q - 1.0))
+        seen = []
+        custom = FunctionFamily(
+            kind="custom",
+            f_impl=lambda s: np.expm1(s) - s,
+            f_prime_impl=np.expm1,
+            k_impl=lambda t: seen.append(np.shape(t)) or np.log1p(t),
+        )
+        square = Grid(Domain.box([(0, 1), (0, 1)]), (17, 17))
+        cases = [
+            # odd resolutions put cell centres on the bisectors: exact ties
+            (AtomicMeasure([[0.25, 0.5], [0.75, 0.5], [0.5, 0.25]], [0.3, 0.3, 0.4]),
+             f, k_pos, 2.0, square, [0.05, 0.05, 0.05]),
+            (AtomicMeasure([[0.25], [0.75]], [0.5, 0.5]),
+             f, k_pos, 1.5, grid1d(0, 1, 33), [0.1, 0.1]),
+            (AtomicMeasure([[0.2], [0.5], [0.8]], [0.3, 0.3, 0.4]),
+             custom, np.log1p, 1.0, grid1d(0, 1, 64), [0.01, 0.03, -0.01]),
+            (AtomicMeasure([[0.31, 0.62], [0.7, 0.4]], [0.45, 0.55]),
+             f, k_pos, 1.0, Grid(Domain.box([(0, 1), (0, 1)]), (12, 9)), [0.3, 0.2]),
+        ]
+        rng = np.random.default_rng(T)
+        for atoms, fam, k_of_positive, p, grid, c0 in cases:
+            ws = _Workspace(atoms, fam, p, grid)
+            # a common shift keeps the ties; per-atom noise breaks them
+            batch = np.asarray(c0) + rng.uniform(-0.02, 0.02, (T, 1))
+            batch[1::2] += rng.uniform(-0.01, 0.01, batch[1::2].shape)
+            seen.clear()
+            got = ws.stats(batch)
+            assert all(len(shape) == 1 for shape in seen)
+            assert got[0].shape == got[1].shape == got[2].shape == (T, grid.n_cells)
+            assert got[3].shape == (T, len(atoms))
+            for t in range(T):
+                want = _naive_stats(ws, batch[t], k_of_positive)
+                for g, single, w in zip(got, ws.stats(batch[t]), want):
+                    assert np.array_equal(g[t], single)
+                    assert np.array_equal(g[t], w)
+
 
 class TestSolveWeights:
     def test_single_atom_closed_form(self):
@@ -253,6 +297,261 @@ class TestSolveWeights:
         )
         grid = Grid(Domain.box([(0, 1), (0, 1)]), (16, 16))
         self._floor_solve(atoms, 2.0, grid)
+
+
+def _reference_jacobian(ws, c):
+    """full_jacobian accumulated term by term with np.add.at."""
+    scores = c[None, :] - ws.dist_p
+    idx = np.arange(len(scores))
+    winner = scores.argmax(axis=1)
+    s = scores[idx, winner]
+    active = s > 0
+    J = np.zeros((ws.m, ws.m))
+    np.add.at(J, (winner, winner), ws.f.k_prime(s) * ws.vol * active)
+    if ws.m == 1:
+        return J
+    scores[idx, winner] = -np.inf
+    runner = scores.argmax(axis=1)
+    gap = s - scores[idx, runner]
+    p = ws.p
+    ii = np.nonzero(active)[0]
+    a, b = winner[ii], runner[ii]
+
+    def grad(rows, cols):
+        d = ws.dist[rows, cols][:, None]
+        vec = ws.centers[rows] - ws.atoms.points[cols]
+        return p * np.where(d > 0, d, 1.0) ** (p - 2.0) * vec
+
+    grad_gap = np.linalg.norm(grad(ii, b) - grad(ii, a), axis=1)
+    tau = np.maximum(grad_gap * ws.grid.cell_diameter, 1e-14)
+    on = gap[ii] <= tau
+    coupling = ws.f.k(s[ii][on]) * ws.vol / tau[on]
+    aa, bb = a[on], b[on]
+    np.add.at(J, (aa, bb), -coupling)
+    np.add.at(J, (bb, aa), -coupling)
+    np.add.at(J, (aa, aa), coupling)
+    np.add.at(J, (bb, bb), coupling)
+    return J
+
+
+def _reference_polish(ws, c, total):
+    """_level_polish with all 100 bisection steps; also returns how many mass
+    evaluations came before the first midpoint equal to an end of the
+    bracket, and how many were made in all."""
+    calls = []
+
+    def mass_at(delta):
+        calls.append(delta)
+        return float(ws.stats(c + delta)[3].sum())
+
+    lo, hi = -1.0, 1.0
+    for _ in range(80):
+        if mass_at(lo) <= total:
+            break
+        lo *= 2.0
+    for _ in range(80):
+        if mass_at(hi) >= total:
+            break
+        hi *= 2.0
+    pinned = None
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if pinned is None and (mid == lo or mid == hi):
+            pinned = len(calls)
+        if mass_at(mid) < total:
+            lo = mid
+        else:
+            hi = mid
+    return c + 0.5 * (lo + hi), len(calls) if pinned is None else pinned, len(calls)
+
+
+def _reference_solve(ws, tol, max_iter=500):
+    """The weight solve with a one-trial-at-a-time halving line search."""
+    from subcities.semidiscrete import _coordinate_sweep
+
+    targets = ws.atoms.masses
+    c = np.array([radius_of_mass(ws.f, ws.p, ws.grid.domain.dim, m) for m in targets]) ** ws.p
+    s, _, _, cm = ws.stats(c)
+    for _ in range(2 * ws.m + 2):
+        lacking = [i for i in range(ws.m) if cm[i] <= 0]
+        if not lacking:
+            break
+        for i in lacking:
+            others = np.delete(np.arange(ws.m), i)
+            if len(others):
+                best_other = (c[None, others] - ws.dist_p[:, others]).max(axis=1)
+            else:
+                best_other = np.zeros(len(ws.dist_p))
+            req = (ws.dist_p[:, i] + np.maximum(best_other, 0.0)).min()
+            c[i] = req + 1e-9 * (1.0 + abs(req))
+        s, _, _, cm = ws.stats(c)
+    else:
+        raise GridTooCoarse("no supporting cell")
+    best_c, best_res = c.copy(), float(np.abs(cm - targets).max())
+    phi = ws.dual_value(c, s)
+    it = 0
+    while it < max_iter and best_res > tol:
+        it += 1
+        r = cm - targets
+        J = _reference_jacobian(ws, c)
+        scale = max(float(np.trace(J)) / ws.m, 1e-12)
+        try:
+            step = np.linalg.solve(J + 1e-10 * scale * np.eye(ws.m), -r)
+        except np.linalg.LinAlgError:
+            step = -r / np.maximum(np.diag(J), 1e-12)
+        slope = float(-r @ step)
+        if slope <= 0:
+            step, slope = -r, float(r @ r)
+        lam, accepted, phi_prev = 1.0, False, phi
+        while lam > 1e-13:
+            c_try = c + lam * step
+            s2, _, _, cm2 = ws.stats(c_try)
+            phi2 = ws.dual_value(c_try, s2)
+            if phi2 >= phi + 1e-4 * lam * slope - 1e-13 * (1.0 + abs(phi)):
+                c, cm, phi, accepted = c_try, cm2, phi2, True
+                break
+            lam *= 0.5
+        res = float(np.abs(cm - targets).max())
+        if res < best_res:
+            best_res, best_c = res, c.copy()
+        if not accepted or (
+            it > 10 and res > tol and phi <= phi_prev + 1e-15 * (1.0 + abs(phi_prev))
+        ):
+            break
+    if best_res > tol:
+        c = _reference_polish(ws, _coordinate_sweep(ws, best_c, targets), float(targets.sum()))[0]
+        res = float(np.abs(ws.stats(c)[3] - targets).max())
+        if res < best_res:
+            best_res, best_c = res, c
+    return best_c, best_res
+
+
+def _random_workspace(rng):
+    """A small random weight-solve instance: 1-D or 2-D, p in {1, 1.5, 2},
+    1-4 atoms (sometimes on cell centres), quadratic or power f."""
+    from subcities.semidiscrete import _Workspace
+
+    dim = int(rng.integers(1, 3))
+    k = int(rng.integers(1, 5))
+    p = float(rng.choice([1.0, 1.5, 2.0]))
+    f = quadratic() if rng.random() < 0.5 else power_f(1.3, 2.5)
+    cells = int(rng.integers(12, 48)) if dim == 1 else int(rng.integers(5, 10))
+    grid = Grid(Domain.box([(0, 1)] * dim), (cells,) * dim)
+    if rng.random() < 0.3:
+        centers = grid.cell_centers()
+        points = centers[rng.choice(len(centers), k, replace=False)]
+    else:
+        points = rng.uniform(0.1, 0.9, (k, dim))
+    masses = rng.dirichlet(np.full(k, 5.0))
+    return _Workspace(AtomicMeasure(points, masses / masses.sum()), f, p, grid)
+
+
+class TestBitIdentity:
+    """The batched line search, the cached Jacobian geometry and the polish's
+    early stop reproduce the plain loops bit for bit."""
+
+    def test_solve_matches_sequential_line_search(self):
+        from subcities.semidiscrete import _solve_weights_best, _Workspace
+
+        rng = np.random.default_rng(11)
+        workspaces = [_random_workspace(rng) for _ in range(210)]
+        # the two instances pinned in TestSolveWeights
+        workspaces += [
+            _Workspace(AtomicMeasure(
+                [[0.236118], [0.409815], [0.588668], [0.764406]],
+                [0.186266, 0.227732, 0.273247, 0.312755],
+            ), quadratic(), 1.0, grid1d(0, 1, 256)),
+            _Workspace(AtomicMeasure(
+                [[0.378, 0.6887], [0.401, 0.3089], [0.7229, 0.5182]],
+                [0.2448, 0.3273, 0.4279],
+            ), quadratic(), 2.0, Grid(Domain.box([(0, 1), (0, 1)]), (16, 16))),
+        ]
+        solved = above_floor = 0
+        for ws in workspaces:
+            # the documented floor u_max * h^n, as the benchmark sets it
+            r = radius_of_mass(ws.f, ws.p, ws.grid.domain.dim, float(ws.atoms.masses.max()))
+            tol = float(ws.f.k(np.array([r**ws.p]))[0]) * ws.vol
+            try:
+                want = _reference_solve(ws, tol, max_iter=40)
+            except GridTooCoarse:
+                with pytest.raises(GridTooCoarse):
+                    _solve_weights_best(ws.atoms, ws.f, ws.p, ws.grid, tol, 40, ws=ws)
+                continue
+            c, res = _solve_weights_best(ws.atoms, ws.f, ws.p, ws.grid, tol, 40, ws=ws)
+            assert np.array_equal(c, want[0]) and res == want[1]
+            solved += 1
+            above_floor += res > tol  # these ran the sweep-and-polish pass
+        assert solved >= 200 and above_floor > 10
+
+    def test_line_search_matches_halving_loop(self):
+        # grids past numpy's 128-element pairwise-sum blocks, where the
+        # trial budget caps the batches at 2 and at 21 trials
+        from subcities.semidiscrete import _line_search, _Workspace
+
+        rng = np.random.default_rng(14)
+        square = Grid(Domain.box([(0, 1), (0, 1)]), (64, 64))
+        cases = [
+            (AtomicMeasure(rng.uniform(0.2, 0.8, (4, 2)), [0.2, 0.3, 0.1, 0.4]), 2.0, square),
+            (AtomicMeasure([[0.3], [0.55], [0.8]], [0.3, 0.3, 0.4]), 1.5, grid1d(0, 1, 512)),
+        ]
+        taken = set()
+        for atoms, p, grid in cases:
+            ws = _Workspace(atoms, quadratic(), p, grid)
+            for _ in range(8):
+                c = rng.uniform(0.02, 0.2, ws.m)
+                s, _, _, cm = ws.stats(c)
+                phi = ws.dual_value(c, s)
+                step = (atoms.masses - cm) * 10.0 ** rng.uniform(0.0, 4.0)
+                slope = float((atoms.masses - cm) @ step)
+                want, lam = None, 1.0
+                while lam > 1e-13:
+                    c_try = c + lam * step
+                    s2, _, _, cm2 = ws.stats(c_try)
+                    phi2 = ws.dual_value(c_try, s2)
+                    if phi2 >= phi + 1e-4 * lam * slope - 1e-13 * (1.0 + abs(phi)):
+                        want = (c_try, cm2, phi2)
+                        break
+                    lam *= 0.5
+                got = _line_search(ws, c, step, phi, slope)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    taken.add(lam)
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g, w)
+        assert len(taken) > 4
+
+    def test_full_jacobian_matches_add_at(self):
+        rng = np.random.default_rng(12)
+        coupled = 0
+        for _ in range(150):
+            ws = _random_workspace(rng)
+            for _ in range(3):  # the cached geometry serves every call
+                c = rng.uniform(0.0, 0.3, ws.m)
+                if ws.m > 1 and rng.random() < 0.3:
+                    c[1] = c[0]
+                want = _reference_jacobian(ws, c)
+                assert np.array_equal(ws.full_jacobian(c), want)
+                coupled += bool((want - np.diag(np.diag(want))).any())
+        assert coupled > 100
+
+    def test_level_polish_matches_full_bisection(self):
+        from subcities.semidiscrete import _level_polish
+
+        rng = np.random.default_rng(13)
+        stopped = 0
+        for _ in range(60):
+            ws = _random_workspace(rng)
+            c = rng.uniform(0.0, 0.3, ws.m)
+            total = float(rng.uniform(0.5, 1.0))
+            want, pinned, made = _reference_polish(ws, c, total)
+            calls = []
+            stats = ws.stats
+            ws.stats = lambda w: calls.append(w) or stats(w)
+            assert np.array_equal(_level_polish(ws, c, total), want)
+            # the polish stops evaluating once the midpoint is pinned
+            assert len(calls) == pinned
+            stopped += pinned < made
+        assert stopped > 30
 
 
 class TestStructureInvariants:
