@@ -67,27 +67,62 @@ def _sum_energy(curve: EnergyCurve, masses: np.ndarray) -> float:
     return float(np.sum(curve.energy(pos))) if len(pos) else 0.0
 
 
-def _row_energies(curve: EnergyCurve, x: np.ndarray) -> np.ndarray:
-    """``_sum_energy`` of every row of x, bit for bit."""
-    sums = curve.energy(x).sum(axis=1)
-    if x.shape[1] >= 8:
-        # pairwise summation regroups once zeros sit between the positives
-        for i in np.nonzero((x <= 0).any(axis=1))[0]:
-            sums[i] = _sum_energy(curve, x[i])
+def _on_entries(fn, x: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """fn of the entries of x flagged in ``real``, 0 elsewhere.
+
+    Padding never reaches fn: on the quadrature route every entry costs a
+    bisection of R(m).
+    """
+    out = np.zeros_like(x)
+    out[real] = fn(x[real])
+    return out
+
+
+def _row_energies(curve: EnergyCurve, x: np.ndarray, real=None) -> np.ndarray:
+    """``_sum_energy`` of every row of x, bit for bit.
+
+    With ``real``, a row is only its flagged entries, which come first; the
+    rest is padding.
+    """
+    k = x.shape[1]
+    e = curve.energy(x) if real is None else _on_entries(curve.energy, x, real)
+    if k < 8:
+        # fewer than 8 terms are summed left to right, so zeros add nothing
+        return e.sum(axis=1)
+    # pairwise summation regroups once zeros sit between the positives, so
+    # each row's positives move to the front, in order, and rows are summed
+    # among those with as many positives
+    pos = x > 0 if real is None else (x > 0) & real
+    e = np.take_along_axis(e, np.argsort(~pos, axis=1, kind="stable"), axis=1)
+    count = pos.sum(axis=1)
+    sums = e[:, :7].sum(axis=1)
+    for c in np.unique(count[count >= 8]):
+        rows = np.nonzero(count == c)[0]
+        sums[rows] = e[rows, :c].sum(axis=1)
     return sums
 
 
-def _projected_descent(curve: EnergyCurve, x0: np.ndarray, iters: int = 200) -> np.ndarray:
-    """Projected gradient descent with backtracking from every row of x0 (starts, k).
+_PAD = -1e200  # a padded entry before projection: sorts last and projects to 0
+
+
+def _projected_descent(
+    curve: EnergyCurve, x0: np.ndarray, iters: int = 200, width=None
+) -> np.ndarray:
+    """Projected gradient descent with backtracking from every row of x0 (starts, K).
 
     Each start runs its own iterations (at most ``iters``) and line searches
     (at most 30 halvings of its step), exactly as it would alone; the starts
     advance in lock-step, one trial per live start per batched step, so the
-    number of steps is the longest start's trial count.
+    number of steps is the longest start's trial count. With ``width``, row
+    i's start is its first width[i] entries: its padding enters each
+    projection as a large negative value, so it leaves the row's threshold
+    alone and ends at 0, and the curve never sees it.
     """
-    x = _simplex_projection(x0)
-    val = _row_energies(curve, x)
-    n_rows = len(x)
+    n_rows, k = x0.shape
+    width = np.full(n_rows, k) if width is None else np.asarray(width)
+    real = np.arange(k) < width[:, None]
+    x = _simplex_projection(np.where(real, x0, _PAD))
+    val = _row_energies(curve, x, real)
     step = np.full(n_rows, 0.1)
     t = np.empty(n_rows)
     grad = np.empty_like(x)
@@ -100,15 +135,17 @@ def _projected_descent(curve: EnergyCurve, x0: np.ndarray, iters: int = 200) -> 
         if len(new):
             live = live[~fresh[live] | (its[live] < iters)]
             new = new[its[new] < iters]
-            grad[new] = curve.denergy(np.maximum(x[new], 1e-9))
+            grad[new] = _on_entries(curve.denergy, np.maximum(x[new], 1e-9), real[new])
             t[new] = step[new]
             failed[new] = 0
             its[new] += 1
             fresh[new] = False
         if not len(live):
             return x
-        x_try = _simplex_projection(x[live] - t[live, None] * grad[live])
-        v_try = _row_energies(curve, x_try)
+        x_try = _simplex_projection(
+            np.where(real[live], x[live] - t[live, None] * grad[live], _PAD)
+        )
+        v_try = _row_energies(curve, x_try, real[live])
         ok = v_try < val[live] - 1e-15
         acc, rej = live[ok], live[~ok]
         x[acc], val[acc] = x_try[ok], v_try[ok]
@@ -119,29 +156,87 @@ def _projected_descent(curve: EnergyCurve, x0: np.ndarray, iters: int = 200) -> 
         live = live[ok | (failed[live] < 30)]
 
 
-def _grid_search(curve: EnergyCurve, k: int, res: int = 200):
-    """Exhaustive search on the 1/res mass lattice (k <= 3)."""
+def _lattice_energies(curve: EnergyCurve, res: int = 200) -> np.ndarray:
+    """E at the masses 0, 1/res, ..., 1 (E(0) = 0)."""
     table = np.asarray(curve.energy(np.arange(res + 1) / res), dtype=float)
     table[0] = 0.0
-    best_val, best = np.inf, None
+    return table
+
+
+def _grid_search(table: np.ndarray, k: int):
+    """Exhaustive search (k <= 3) on the mass lattice of ``_lattice_energies``.
+
+    Scans the sorted splits i >= res - i (k = 2) or i <= j <= res - i - j
+    (k = 3) in lexicographic order and keeps the first minimum.
+    """
+    res = len(table) - 1
     if k == 1:
         return np.array([1.0]), float(table[res])
     if k == 2:
-        for i in range(res // 2, res + 1):
-            v = table[i] + table[res - i]
-            if v < best_val:
-                best_val, best = v, (i, res - i)
+        i = np.arange(res // 2, res + 1)
+        parts = (i, res - i)
+        v = table[i] + table[res - i]
     else:
-        for i in range(res + 1):
-            for j in range(i, (res - i) // 2 + 1):
-                l = res - i - j
-                if l < j:
-                    continue
-                v = table[i] + table[j] + table[l]
-                if v < best_val:
-                    best_val, best = v, (i, j, l)
-    masses = np.array(sorted(best, reverse=True), dtype=float) / res
-    return masses, float(best_val)
+        lat = np.arange(res + 1)
+        i, j = np.nonzero((lat >= lat[:, None]) & (2 * lat <= res - lat[:, None]))
+        parts = (i, j, res - i - j)
+        v = table[i] + table[j] + table[res - i - j]
+    best = int(np.argmin(v))
+    masses = np.array(sorted((int(a[best]) for a in parts), reverse=True), dtype=float) / res
+    return masses, float(v[best])
+
+
+_BATCH_ENTRIES = 2**20  # rows x columns of one padded descent batch
+
+
+def _descend_counts(curve: EnergyCurve, ks: list, seed: int, per: int) -> list:
+    """The descended starts of every count in ks, from one padded batch."""
+    starts = np.zeros((per * len(ks), max(ks)))
+    for b, k in enumerate(ks):
+        rng = np.random.default_rng(seed)
+        block = starts[b * per : (b + 1) * per, :k]
+        block[0] = 1.0 / k
+        for s in range(1, per):
+            block[s] = rng.dirichlet(np.ones(k))
+    ends = _projected_descent(curve, starts, width=np.repeat(ks, per))
+    return [ends[b * per : (b + 1) * per, :k] for b, k in enumerate(ks)]
+
+
+def _optimize_counts(curve: EnergyCurve, ks, seed: int = 0, n_starts: int = 20):
+    """``optimize_masses`` for every count in ks, descended in one batch.
+
+    Count k's 1 + n_starts starts (the equal split, then Dirichlet draws
+    from its own ``default_rng(seed)``) fill the first k columns of their
+    rows; the batch is as wide as the largest count, and every row descends
+    at its own width, so each count's result is the one it gets alone. Runs
+    of consecutive counts are split into several batches only where one
+    would exceed ``_BATCH_ENTRIES`` entries.
+    """
+    ks = list(ks)
+    for k in ks:
+        if not isinstance(k, (int, np.integer)) or k < 1:
+            raise InvalidK(f"k must be a positive integer, got {k!r}")
+    per = 1 + n_starts
+    ends, lo = [], 0
+    while lo < len(ks):
+        hi = lo + 1
+        while hi < len(ks) and per * (hi + 1 - lo) * max(ks[lo : hi + 1]) <= _BATCH_ENTRIES:
+            hi += 1
+        ends += _descend_counts(curve, ks[lo:hi], seed, per)
+        lo = hi
+    table = _lattice_energies(curve) if min(ks) <= 3 else None
+    results = []
+    for k, descended in zip(ks, ends):
+        candidates = [np.full(k, 1.0 / k), *descended]
+        if k <= 3:
+            candidates.append(_grid_search(table, k)[0])
+        best_val, best = np.inf, None
+        for cand in candidates:
+            v = _sum_energy(curve, cand)
+            if v < best_val - 1e-15 or best is None:
+                best_val, best = v, cand
+        results.append((np.sort(np.asarray(best, dtype=float))[::-1], float(best_val)))
+    return results
 
 
 def optimize_masses(curve: EnergyCurve, k: int, seed: int = 0, n_starts: int = 20):
@@ -151,21 +246,7 @@ def optimize_masses(curve: EnergyCurve, k: int, seed: int = 0, n_starts: int = 2
     and from seeded random starts, and (for k <= 3) an exhaustive 1/200
     lattice search. Returns (masses sorted descending, summed energy).
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise InvalidK(f"k must be a positive integer, got {k!r}")
-    candidates = [np.full(k, 1.0 / k)]
-    rng = np.random.default_rng(seed)
-    starts = [np.full(k, 1.0 / k)] + [rng.dirichlet(np.ones(k)) for _ in range(n_starts)]
-    candidates.extend(_projected_descent(curve, np.array(starts)))
-    if k <= 3:
-        candidates.append(_grid_search(curve, k)[0])
-    best_val, best = np.inf, None
-    for cand in candidates:
-        v = _sum_energy(curve, cand)
-        if v < best_val - 1e-15 or best is None:
-            best_val, best = v, cand
-    masses = np.sort(np.asarray(best, dtype=float))[::-1]
-    return masses, float(best_val)
+    return _optimize_counts(curve, (k,), seed, n_starts)[0]
 
 
 def solve_atomic_problem(
@@ -182,7 +263,8 @@ def solve_atomic_problem(
     The enumeration is capped by 1 + floor(2/m0) when the concavity
     threshold m0 is positive (merging sub-m0/2 atoms never helps); if the
     atomization condition fails, a warning is issued and k_max is used as
-    the cap. Ties between counts go to the smaller k.
+    the cap. Every count's mass split comes from one batched descent
+    (``_optimize_counts``). Ties between counts go to the smaller k.
     """
     if k_max < 1:
         raise InvalidK("k_max must be >= 1")
@@ -198,8 +280,7 @@ def solve_atomic_problem(
         )
     k_hi = min(k_max, 1 + int(np.floor(2.0 / m0))) if m0 > 0 else k_max
     best = None
-    for k in range(1, k_hi + 1):
-        masses, value = optimize_masses(curve, k, seed=seed)
+    for k, (masses, value) in enumerate(_optimize_counts(curve, range(1, k_hi + 1), seed), 1):
         if best is None or value < best[2] - 1e-12 * (1.0 + abs(best[2])):
             best = (k, masses, value)
     k_star, masses, value = best

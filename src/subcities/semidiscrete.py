@@ -144,11 +144,26 @@ def radius_of_mass(f: FunctionFamily, p: float, n: int, m: float) -> float:
     return _invert_mass(f, p, n, m)
 
 
+def _mass_evaluator(f: FunctionFamily, p: float, n: int):
+    """R -> ``mass_of_radius(f, p, n, R)`` for R > 0, bit for bit.
+
+    For the power catalogue the factors that do not depend on R are
+    evaluated once, and the products keep mass_of_radius's order.
+    """
+    if not f.is_power_shaped:
+        return lambda R: mass_of_radius(f, p, n, R)
+    coef = f.kappa * (n * unit_ball_volume(n))
+    e = n + p * f.alpha
+    J = _scaled_power_integral(float(f.alpha), float(n), float(p))
+    return lambda R: coef * (R**e * J)
+
+
 def _invert_mass(f: FunctionFamily, p: float, n: int, m: float) -> float:
+    mass = _mass_evaluator(f, p, n)
     # quadratic-f closed form seeds the bracket for every family
     hi = (m * (n + p) / (unit_ball_volume(n) * p)) ** (1.0 / (n + p))
     for _ in range(200):
-        if mass_of_radius(f, p, n, hi) >= m:
+        if mass(hi) >= m:
             break
         hi *= 2.0
     else:
@@ -156,7 +171,7 @@ def _invert_mass(f: FunctionFamily, p: float, n: int, m: float) -> float:
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        val = mass_of_radius(f, p, n, mid)
+        val = mass(mid)
         if abs(val - m) <= 1e-13:
             return mid
         if val < m:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from subcities import (
     subadditivity_threshold,
     subcity_energy,
 )
+from subcities.planner import _optimize_counts, _projected_descent
 
 F = quadratic()
 G_WEAK = power_g(0.2, 0.5)
@@ -95,13 +98,13 @@ def _descent_one_start(curve, x0, iters=200):
 
 
 def _optimize_one_start_at_a_time(curve, k, seed, n_starts):
-    from subcities.planner import _grid_search
+    from subcities.planner import _grid_search, _lattice_energies
 
     rng = np.random.default_rng(seed)
     starts = [np.full(k, 1.0 / k)] + [rng.dirichlet(np.ones(k)) for _ in range(n_starts)]
     candidates = [np.full(k, 1.0 / k)] + [_descent_one_start(curve, x0) for x0 in starts]
     if k <= 3:
-        candidates.append(_grid_search(curve, k)[0])
+        candidates.append(_grid_search(_lattice_energies(curve), k)[0])
     best_val, best = np.inf, None
     for cand in candidates:
         v = _energy_1d(curve, cand)
@@ -201,6 +204,201 @@ class TestLockStepDescent:
         assert got.sum(axis=1) == pytest.approx(totals, rel=1e-12)
         for row, want, total in zip(got, x, totals):
             assert np.array_equal(row, _project_1d(want, total))
+
+
+def _optimize_each_count(curve, ks, seed, n_starts=20):
+    """The per-count reference: one ``optimize_masses`` call for each count."""
+    return [optimize_masses(curve, k, seed=seed, n_starts=n_starts) for k in ks]
+
+
+def _solve_count_by_count(f, g, p, n, k_max, seed):
+    """``solve_atomic_problem`` as a loop over counts, plus every count's result."""
+    curve = EnergyCurve.build(f, g, p, n)
+    m0 = subadditivity_threshold(curve)
+    k_hi = min(k_max, 1 + int(np.floor(2.0 / m0))) if m0 > 0 else k_max
+    per_count = _optimize_each_count(curve, range(1, k_hi + 1), seed)
+    best = None
+    for k, (masses, value) in enumerate(per_count, 1):
+        if best is None or value < best[2] - 1e-12 * (1.0 + abs(best[2])):
+            best = (k, masses, value)
+    masses = best[1][best[1] > 1e-12]
+    return (len(masses), masses, best[2]), per_count, curve
+
+
+def _assert_same_results(got, want):
+    assert len(got) == len(want)
+    for (masses, value), (ref_masses, ref_value) in zip(got, want):
+        assert np.array_equal(masses, ref_masses)
+        assert value == ref_value
+
+
+class _CountingCurve:
+    """A curve that counts the entries handed to it and remembers their values.
+
+    Every entry is evaluated alone through the wrapped curve, so an array
+    gets exactly the values the wrapped curve's per-mass route gives it.
+    """
+
+    def __init__(self, curve):
+        self.curve, self.entries, self.memo = curve, 0, {}
+
+    def _each(self, fn, m):
+        marr = np.asarray(m, dtype=float)
+        self.entries += marr.size
+        out = []
+        for v in marr.ravel().tolist():
+            if (fn, v) not in self.memo:
+                self.memo[fn, v] = getattr(self.curve, fn)(v)
+            out.append(self.memo[fn, v])
+        return np.array(out, dtype=float).reshape(marr.shape)
+
+    def energy(self, m):
+        return self._each("energy", m)
+
+    def denergy(self, m):
+        return self._each("denergy", m)
+
+
+# the plan-rn fractional factorial: every (q, r) pair and every (p, n) pair appears
+_RN_SHAPES = [
+    (
+        *[(q, r) for q in (1.5, 2.0, 3.0) for r in (0.3, 0.5, 0.7)][i % 9],
+        *((1.0, 1), (2.0, 2), (1.0, 2), (2.0, 1))[i % 4],
+    )
+    for i in range(12)
+]
+
+
+class TestCountsInOneBatch:
+    """All counts in one padded descent give each count's own result, bit for bit."""
+
+    @pytest.mark.parametrize("q, r, p, n", _RN_SHAPES)
+    def test_rn_factorial_shapes(self, q, r, p, n):
+        f, g = power_f(1.0, q), power_g(1.003, r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditionNotSatisfied)
+            want, per_count, curve = _solve_count_by_count(f, g, p, n, 6, seed=7)
+            k, masses, value = solve_atomic_problem(f, g, p, n, 6, seed=7)
+        assert (k, value) == (want[0], want[2])
+        assert np.array_equal(masses, want[1])
+        _assert_same_results(_optimize_counts(curve, range(1, len(per_count) + 1), 7), per_count)
+
+    def test_seventeen_counts(self):
+        # k_hi = 17: rows of 8-17 entries with zeros take the grouped pairwise sums
+        want, per_count, curve = _solve_count_by_count(F, G_WEAK, 2.0, 1, 40, seed=0)
+        assert len(per_count) == 17
+        assert any(np.sum(masses == 0) for masses, _ in per_count[8:])
+        k, masses, value = solve_atomic_problem(F, G_WEAK, 2.0, 1, 40, seed=0)
+        assert (k, value) == (want[0], want[2])
+        assert np.array_equal(masses, want[1])
+        _assert_same_results(_optimize_counts(curve, range(1, 18), 0), per_count)
+
+    def test_custom_family(self):
+        # the quadrature route; one start (the equal split) per count keeps it affordable
+        curve = _CountingCurve(_custom_quadratic_curve())
+        got = _optimize_counts(curve, range(1, 5), seed=3, n_starts=0)
+        _assert_same_results(got, _optimize_each_count(curve, range(1, 5), 3, n_starts=0))
+
+    def test_padding_never_reaches_the_curve(self):
+        curve = _CountingCurve(EnergyCurve.build(F, G_WEAK, 2.0, 1))
+        ks = (4, 5, 9, 12)  # no lattice search, so both sides ask for the same entries
+        got = _optimize_counts(curve, ks, seed=5, n_starts=3)
+        batched, curve.entries = curve.entries, 0
+        want = _optimize_each_count(curve, ks, 5, n_starts=3)
+        assert batched == curve.entries
+        _assert_same_results(got, want)
+
+    def test_batches_split_under_the_entry_budget(self, monkeypatch):
+        import subcities.planner as planner
+
+        curve = EnergyCurve.build(F, G_WEAK, 2.0, 1)
+        want = _optimize_counts(curve, range(1, 10), seed=2, n_starts=4)
+        widths = []
+        descend = planner._projected_descent
+        monkeypatch.setattr(planner, "_BATCH_ENTRIES", 180)  # 5 rows per count
+        monkeypatch.setattr(
+            planner,
+            "_projected_descent",
+            lambda c, x0, width: widths.append(list(width)) or descend(c, x0, width=width),
+        )
+        _assert_same_results(_optimize_counts(curve, range(1, 10), seed=2, n_starts=4), want)
+        assert [sorted(set(w)) for w in widths] == [[1, 2, 3, 4, 5, 6], [7, 8, 9]]
+
+    def test_padded_descent_matches_single_starts(self):
+        curve = EnergyCurve.build(F, power_g(0.1, 0.4), 2.0, 2)
+        rng = np.random.default_rng(8)
+        width = np.array([1, 2, 5, 8, 11, 3, 9, 11])
+        x0 = np.full((len(width), 11), 0.3)  # padding values are ignored
+        for row, w in zip(x0, width):
+            row[:w] = rng.dirichlet(np.ones(w))
+        x0[2, :5] = np.eye(5)[1]  # a vertex
+        ends = _projected_descent(curve, x0, width=width)
+        for x, end, w in zip(x0, ends, width):
+            assert np.array_equal(end[:w], _descent_one_start(curve, x[:w]))
+            assert not end[w:].any()
+
+    def test_row_energies_by_width(self):
+        from subcities.planner import _row_energies
+
+        curve = EnergyCurve.build(F, power_g(0.1, 0.4), 2.0, 2)
+        rng = np.random.default_rng(3)
+        for k in (1, 3, 7, 8, 9, 12, 20):
+            width = rng.integers(1, k + 1, size=60)
+            x = rng.dirichlet(np.ones(k), size=60)
+            x[rng.random(x.shape) < 0.3] = 0.0  # leading zeros and empty rows too
+            want = [_energy_1d(curve, row[:w]) for row, w in zip(x, width)]
+            x[np.arange(k) >= width[:, None]] = 0.7  # padding values are ignored
+            assert _row_energies(curve, x, np.arange(k) < width[:, None]).tolist() == want
+
+
+def _grid_search_loop(curve, k, res=200):
+    """The lattice search written as loops, the first minimum kept."""
+    table = np.asarray(curve.energy(np.arange(res + 1) / res), dtype=float)
+    table[0] = 0.0
+    best_val, best = np.inf, None
+    if k == 1:
+        return np.array([1.0]), float(table[res])
+    if k == 2:
+        for i in range(res // 2, res + 1):
+            v = table[i] + table[res - i]
+            if v < best_val:
+                best_val, best = v, (i, res - i)
+    else:
+        for i in range(res + 1):
+            for j in range(i, (res - i) // 2 + 1):
+                l = res - i - j
+                if l < j:
+                    continue
+                v = table[i] + table[j] + table[l]
+                if v < best_val:
+                    best_val, best = v, (i, j, l)
+    masses = np.array(sorted(best, reverse=True), dtype=float) / res
+    return masses, float(best_val)
+
+
+class _StepCurve:
+    """E rounded to a coarse step, so that many lattice splits tie."""
+
+    def energy(self, m):
+        return np.floor(np.sqrt(np.asarray(m, dtype=float)) * 4.0) / 4.0
+
+
+class TestGridSearch:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("res", [200, 7, 10, 33])
+    def test_matches_loop(self, k, res):
+        from subcities.planner import _grid_search, _lattice_energies
+
+        for curve in (
+            EnergyCurve.build(F, G_WEAK, 2.0, 1),
+            EnergyCurve.build(F, G_STRONG, 2.0, 2),
+            EnergyCurve.build(power_f(1.0, 3.0), power_g(0.3, 0.7), 1.0, 2),
+            _StepCurve(),
+        ):
+            masses, value = _grid_search(_lattice_energies(curve, res), k)
+            ref_masses, ref_value = _grid_search_loop(curve, k, res)
+            assert np.array_equal(masses, ref_masses)
+            assert value == ref_value
 
 
 class TestSolveAtomicProblem:

@@ -78,6 +78,57 @@ class TestMassRadius:
             radius_of_mass(quadratic(), 2.0, 1, 1.5)
 
 
+def _invert_by_mass_of_radius(f, p, n, m):
+    """R(m) by bisection on ``mass_of_radius`` itself, called at every step."""
+    hi = (m * (n + p) / (unit_ball_volume(n) * p)) ** (1.0 / (n + p))
+    while mass_of_radius(f, p, n, hi) < m:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        val = mass_of_radius(f, p, n, mid)
+        if abs(val - m) <= 1e-13:
+            return mid
+        if val < m:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-17 * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
+
+
+class TestInvertMass:
+    """The hoisted power-catalogue evaluator bisects exactly like mass_of_radius."""
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_power_catalogue(self, q, p, n):
+        from subcities.semidiscrete import _invert_mass, _mass_evaluator
+
+        f = power_f(0.8, q)
+        mass = _mass_evaluator(f, p, n)
+        for R in np.geomspace(1e-5, 10.0, 200).tolist():
+            assert mass(R) == mass_of_radius(f, p, n, R)
+        for m in np.geomspace(1e-6, 1.0, 24).tolist():
+            assert _invert_mass(f, p, n, m) == _invert_by_mass_of_radius(f, p, n, m)
+
+    def test_custom_family(self):
+        from subcities import FunctionFamily
+        from subcities.semidiscrete import _invert_mass
+
+        f = FunctionFamily(
+            kind="custom",
+            f_impl=lambda s: 0.5 * s * s,
+            f_prime_impl=lambda s: s,
+            k_impl=lambda t: t,
+            k_prime_impl=lambda t: np.ones_like(t),
+        )
+        for m in (1e-3, 0.4):
+            assert _invert_mass(f, 2.0, 2, m) == _invert_by_mass_of_radius(f, 2.0, 2, m)
+
+
 class TestDensityFromWeights:
     def test_nonpositive_weights_zero_density(self):
         atoms = AtomicMeasure([[0.5]], [1.0])
