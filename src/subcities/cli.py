@@ -28,7 +28,7 @@ from .planner import (
     solve_atomic_problem,
     solve_bounded,
 )
-from .semidiscrete import min_Fp_nu, radius_of_mass
+from .semidiscrete import _min_Fp_nu, radius_of_mass
 from .subcity import EnergyCurve, check_atomization_condition, subadditivity_threshold
 
 MODES = ("plan-rn", "plan-bounded", "mu-subproblem", "energy-curve", "validate")
@@ -261,27 +261,19 @@ def _run_mu_subproblem(cfg: RunConfig, outdir: Path) -> dict:
     res = cfg.resolution
     resolution = tuple(res) if isinstance(res, (list, tuple)) else (int(res),) * cfg.n
     grid = Grid(domain, resolution)
-    density, breakdown = min_Fp_nu(
+    density, breakdown, plan = _min_Fp_nu(
         nu,
         cfg.f,
         cfg.p,
         grid,
-        tol=cfg.tolerances["mass_balance"],
-        max_iter=cfg.tolerances["newton_max_iter"],
+        cfg.tolerances["mass_balance"],
+        cfg.tolerances["newton_max_iter"],
     )
     artifacts: list = []
     _write_density(density, outdir, artifacts)
-    if cfg.dump_plans and breakdown["transport_route"] == "lp":
-        from .discrete_transport import solve_discrete_transport
-        from .measures import WeightedPointCloud, normalize, to_point_cloud
-
-        cloud = to_point_cloud(normalize(density))
-        plan = solve_discrete_transport(
-            cloud, WeightedPointCloud(nu.points, nu.masses / nu.total_mass), cfg.p
-        )
+    if cfg.dump_plans and plan is not None:
         plan.dump_csv(outdir / "plan.csv")
         artifacts.append("plan.csv")
-    breakdown = dict(breakdown)
     breakdown["G"] = eval_G(cfg.g, nu)
     return {"objective": breakdown, "artifacts": artifacts}
 

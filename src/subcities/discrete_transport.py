@@ -1,8 +1,8 @@
 """Exact discrete transport: optimal couplings, costs, and dual potentials.
 
 The solver is a successive-shortest-paths min-cost flow on the bipartite
-transportation graph. Masses are rescaled to integer units (configurable
-denominator) so flows are exact integers and marginals are met exactly in
+transportation graph. Masses are rescaled to integer units (fixed
+denominator 1e9) so flows are exact integers and marginals are met exactly in
 quantized units; the quantization residual is reported on the plan. Node
 potentials maintained by the algorithm provide an optimality certificate:
 they are dual-feasible everywhere and complementary-slack on the support.
@@ -33,6 +33,7 @@ from .measures import WeightedPointCloud
 
 DEFAULT_DENOMINATOR = 10**9
 _COST_MATRIX_GUARD = 10**8  # no full pairwise matrix above 1e4 x 1e4 points
+_FEASIBILITY_TOL = 1e-9  # dual violation above which component offsets are re-solved
 
 
 def _pairwise_cost(xs: np.ndarray, ys: np.ndarray, p: float) -> np.ndarray:
@@ -201,7 +202,6 @@ def solve_discrete_transport(
     source: WeightedPointCloud,
     target: WeightedPointCloud,
     p: float,
-    denominator: int = DEFAULT_DENOMINATOR,
 ) -> TransportPlan:
     """Exactly optimal coupling for the finite transportation linear program.
 
@@ -237,15 +237,15 @@ def solve_discrete_transport(
             source, target, fi, fj, fmass, p, total, 0.0, psi, psi_c
         )
 
-    supply = quantize_to_units(source.weights, denominator)
-    demand = quantize_to_units(target.weights, denominator)
+    supply = quantize_to_units(source.weights, DEFAULT_DENOMINATOR)
+    demand = quantize_to_units(target.weights, DEFAULT_DENOMINATOR)
     q_res = max(
-        float(np.abs(supply / denominator - source.weights).max()),
-        float(np.abs(demand / denominator - target.weights).max()),
+        float(np.abs(supply / DEFAULT_DENOMINATOR - source.weights).max()),
+        float(np.abs(demand / DEFAULT_DENOMINATOR - target.weights).max()),
     )
     flow, psi, psi_c = _ssp(cost, supply, demand)
     fi, fj = np.nonzero(flow)
-    fmass = flow[fi, fj] / denominator
+    fmass = flow[fi, fj] / DEFAULT_DENOMINATOR
     total = float(cost[fi, fj] @ fmass)
     return TransportPlan(source, target, fi, fj, fmass, p, total, q_res, psi, psi_c)
 
@@ -261,54 +261,16 @@ def c_transform(points: np.ndarray, values: np.ndarray, opposite_points: np.ndar
     return (cost - values[None, :]).min(axis=1)
 
 
-def _flow_components(n: int, m: int, fi, fj):
-    """Connected components of the bipartite support graph.
-
-    Returns (comp_src, comp_tgt, n_components); isolated nodes (possible only
-    for zero-weight inputs, which clouds forbid) get their own component.
-    """
-    adj_s: list[list[int]] = [[] for _ in range(n)]
-    adj_t: list[list[int]] = [[] for _ in range(m)]
-    for i, j in zip(fi, fj):
-        adj_s[int(i)].append(int(j))
-        adj_t[int(j)].append(int(i))
-    comp_s = np.full(n, -1, dtype=int)
-    comp_t = np.full(m, -1, dtype=int)
-    comp = 0
-    for root in range(n):
-        if comp_s[root] >= 0:
-            continue
-        stack = [("s", root)]
-        comp_s[root] = comp
-        while stack:
-            side, u = stack.pop()
-            if side == "s":
-                for j in adj_s[u]:
-                    if comp_t[j] < 0:
-                        comp_t[j] = comp
-                        stack.append(("t", j))
-            else:
-                for i in adj_t[u]:
-                    if comp_s[i] < 0:
-                        comp_s[i] = comp
-                        stack.append(("s", i))
-        comp += 1
-    for j in range(m):
-        if comp_t[j] < 0:
-            comp_t[j] = comp
-            comp += 1
-    return comp_s, comp_t, comp
-
-
-def recover_potentials(plan: TransportPlan, feasibility_tol: float = 1e-9) -> PotentialPair:
+def recover_potentials(plan: TransportPlan) -> PotentialPair:
     """Dual potentials for an optimal plan, rebuilt from its support graph.
 
-    Complementary slackness pins the potentials along every flow edge, so a
-    breadth-first sweep fixes them up to one constant per connected component
-    of the support graph. Components are normalized to min-zero over their
-    sources; if those shifts break cross-component feasibility the offsets
-    are re-solved as a difference-constraint system, and a final global shift
-    restores min-zero over the support.
+    Complementary slackness pins the potentials along every flow edge, so one
+    depth-first sweep fixes them up to one constant per connected component
+    of the support graph, and labels the components as it goes. Components
+    are normalized to min-zero over their sources; if those shifts break
+    cross-component feasibility the offsets are re-solved as a
+    difference-constraint system, and a final global shift restores min-zero
+    over the support.
     """
     n, m = len(plan.source), len(plan.target)
     cost = _pairwise_cost(plan.source.points, plan.target.points, plan.cost_exponent)
@@ -320,25 +282,31 @@ def recover_potentials(plan: TransportPlan, feasibility_tol: float = 1e-9) -> Po
         adj_t[int(j)].append(int(i))
     psi = np.full(n, np.nan)
     psi_c = np.full(m, np.nan)
-    comp_s, comp_t, n_comp = _flow_components(n, m, fi, fj)
+    comp_s = np.full(n, -1, dtype=int)
+    comp_t = np.full(m, -1, dtype=int)
+    n_comp = 0
     for root in range(n):
-        if not np.isnan(psi[root]):
+        if comp_s[root] >= 0:
             continue
         psi[root] = 0.0
+        comp_s[root] = n_comp
         stack = [("s", root)]
         while stack:
             side, u = stack.pop()
             if side == "s":
                 for j in adj_s[u]:
-                    if np.isnan(psi_c[j]):
+                    if comp_t[j] < 0:
+                        comp_t[j] = n_comp
                         psi_c[j] = cost[u, j] - psi[u]
                         stack.append(("t", j))
             else:
                 for i in adj_t[u]:
-                    if np.isnan(psi[i]):
+                    if comp_s[i] < 0:
+                        comp_s[i] = n_comp
                         psi[i] = cost[i, u] - psi_c[u]
                         stack.append(("s", i))
-    if np.isnan(psi).any() or np.isnan(psi_c).any():
+        n_comp += 1
+    if (comp_t < 0).any():
         raise DegeneratePlan("plan support does not cover all points")
     # per-component min-zero over sources
     for c in range(n_comp):
@@ -348,7 +316,7 @@ def recover_potentials(plan: TransportPlan, feasibility_tol: float = 1e-9) -> Po
             psi[mask] -= shift
             psi_c[comp_t == c] += shift
     violation = (psi[:, None] + psi_c[None, :] - cost).max()
-    if violation > feasibility_tol and n_comp > 1:
+    if violation > _FEASIBILITY_TOL and n_comp > 1:
         # difference constraints delta_B - delta_A <= slack(A, B), solved by
         # Bellman-Ford from a virtual root; a feasible assignment exists
         # because the LP dual does.

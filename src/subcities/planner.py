@@ -34,6 +34,7 @@ from .semidiscrete import (
 from .subcity import EnergyCurve, check_atomization_condition, subadditivity_threshold
 
 _DISJOINT_GAP = 1.0 + 1e-6  # atom spacing in units of 2 * max radius
+_DOMAIN_MARGIN = 0.35  # domain padding beyond the outer balls, in units of max radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,12 +62,6 @@ def _simplex_projection(x: np.ndarray, total=1.0) -> np.ndarray:
     return np.maximum(x - theta[:, None], 0.0)
 
 
-def _sum_energy(curve: EnergyCurve, masses: np.ndarray) -> float:
-    masses = np.asarray(masses, dtype=float)
-    pos = masses[masses > 0]
-    return float(np.sum(curve.energy(pos))) if len(pos) else 0.0
-
-
 def _on_entries(fn, x: np.ndarray, real: np.ndarray) -> np.ndarray:
     """fn of the entries of x flagged in ``real``, 0 elsewhere.
 
@@ -79,10 +74,11 @@ def _on_entries(fn, x: np.ndarray, real: np.ndarray) -> np.ndarray:
 
 
 def _row_energies(curve: EnergyCurve, x: np.ndarray, real=None) -> np.ndarray:
-    """``_sum_energy`` of every row of x, bit for bit.
+    """The summed energy of the positive entries of every row of x.
 
-    With ``real``, a row is only its flagged entries, which come first; the
-    rest is padding.
+    Each row's value is bit for bit ``np.sum(curve.energy(row[row > 0]))``
+    (0 for a row with no positive entry). With ``real``, a row is only its
+    flagged entries; the rest is padding and never reaches the curve.
     """
     k = x.shape[1]
     e = curve.energy(x) if real is None else _on_entries(curve.energy, x, real)
@@ -227,15 +223,17 @@ def _optimize_counts(curve: EnergyCurve, ks, seed: int = 0, n_starts: int = 20):
     table = _lattice_energies(curve) if min(ks) <= 3 else None
     results = []
     for k, descended in zip(ks, ends):
-        candidates = [np.full(k, 1.0 / k), *descended]
+        # the equal split, the descended starts, then the lattice pick
+        rows = [np.full((1, k), 1.0 / k), descended]
         if k <= 3:
-            candidates.append(_grid_search(table, k)[0])
-        best_val, best = np.inf, None
-        for cand in candidates:
-            v = _sum_energy(curve, cand)
-            if v < best_val - 1e-15 or best is None:
-                best_val, best = v, cand
-        results.append((np.sort(np.asarray(best, dtype=float))[::-1], float(best_val)))
+            rows.append(_grid_search(table, k)[0][None, :])
+        candidates = np.vstack(rows)
+        values = _row_energies(curve, candidates, candidates > 0)
+        best = 0
+        for c in range(1, len(values)):
+            if values[c] < values[best] - 1e-15:
+                best = c
+        results.append((np.sort(candidates[best])[::-1], float(values[best])))
     return results
 
 
@@ -320,9 +318,7 @@ def assemble_rn_solution(
     n: int,
     layout: str = "line",
     resolution=None,
-    margin: float = 0.35,
     origin=None,
-    transport_oracle: str = "auto",
 ) -> PlanSolution:
     """Materialize the unconstrained solution as disjoint balls.
 
@@ -341,7 +337,7 @@ def assemble_rn_solution(
     r_bar = radius_of_mass(f, p, n, 1.0)
     spacing = 2.0 * r_bar * _DISJOINT_GAP
     pts = _layout_points(k, n, spacing, layout, origin)
-    pad = r_bar * (1.0 + margin)
+    pad = r_bar * (1.0 + _DOMAIN_MARGIN)
     lo = pts.min(axis=0) - pad
     hi = pts.max(axis=0) + pad
     domain = Domain.box(list(zip(lo, hi)))
@@ -359,16 +355,9 @@ def assemble_rn_solution(
     transport_closed = float(sum(_ball_transport_cost(f, p, n, R) for R in radii))
     f_term = eval_F(f, density)
     g_term = eval_G(g, atoms)
-    if transport_oracle == "off":
-        oracle_cost, oracle_route = None, "off"
-    else:
-        oracle_cost, oracle_route = _transport_term(
-            atoms,
-            density,
-            p,
-            transport_oracle,
-            lambda: induced_transport_cost(atoms, weights, f, p, grid),
-        )
+    oracle_cost, oracle_route, _ = _transport_term(
+        atoms, density, p, lambda: induced_transport_cost(atoms, weights, f, p, grid)
+    )
     objective = {
         "transport": transport_closed,
         "F": f_term,

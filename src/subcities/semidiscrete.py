@@ -26,6 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import discrete_transport
 from .errors import (
     AtomOutsideDomain,
     GridTooCoarse,
@@ -541,24 +542,21 @@ def _induced_cost(ws: _Workspace, weights: np.ndarray) -> float:
 
 
 def _transport_term(
-    nu: AtomicMeasure, density: GridDensity, p: float, mode: str, induced
-) -> tuple[float, str]:
-    """Transport cost from ``density`` to ``nu`` and the route that gave it.
+    nu: AtomicMeasure, density: GridDensity, p: float, induced
+) -> tuple[float, str, discrete_transport.TransportPlan | None]:
+    """Transport cost from ``density`` to ``nu``, the route and the LP's plan.
 
-    The exact LP runs when ``mode`` is "lp", or "auto" with one atom or a
-    small support; otherwise ``induced()`` gives the cost of the induced
-    plan, whose optimality the weight duals certify.
+    The exact LP runs with one atom or a small support and returns
+    (cost, "lp", plan); otherwise ``induced()`` gives the cost of the induced
+    plan, whose optimality the weight duals certify: (cost, "induced", None).
     """
     n_support = int((density.values > 0).sum())
-    if mode == "lp" or (
-        mode == "auto" and (len(nu) == 1 or n_support * n_support * len(nu) <= 400_000)
-    ):
-        from .discrete_transport import solve_discrete_transport
-
-        cloud = to_point_cloud(normalize(density), tol=INTERNAL_PROB_TOL)
-        nu_cloud = WeightedPointCloud(nu.points, nu.masses / nu.total_mass)
-        return solve_discrete_transport(cloud, nu_cloud, p).total_cost, "lp"
-    return induced(), "induced"
+    if len(nu) > 1 and n_support * n_support * len(nu) > 400_000:
+        return induced(), "induced", None
+    cloud = to_point_cloud(normalize(density), tol=INTERNAL_PROB_TOL)
+    nu_cloud = WeightedPointCloud(nu.points, nu.masses / nu.total_mass)
+    plan = discrete_transport.solve_discrete_transport(cloud, nu_cloud, p)
+    return plan.total_cost, "lp", plan
 
 
 def min_Fp_nu(
@@ -568,7 +566,6 @@ def min_Fp_nu(
     grid: Grid,
     tol: float = 1e-7,
     max_iter: int = 500,
-    transport_oracle: str = "auto",
 ):
     """Minimize transport-plus-spread cost over densities at fixed atoms.
 
@@ -577,11 +574,16 @@ def min_Fp_nu(
     small enough, otherwise through the certified induced plan; the route
     taken is recorded in the breakdown.
     """
+    return _min_Fp_nu(nu, f, p, grid, tol, max_iter)[:2]
+
+
+def _min_Fp_nu(nu, f, p, grid, tol, max_iter):
+    """``min_Fp_nu`` plus the LP route's transport plan (None when induced)."""
     weights, ws = _solve_weights(nu, f, p, grid, tol, max_iter)
     density = _density(ws, weights.c)
     f_term = eval_F(f, density)
-    transport, route = _transport_term(
-        nu, density, p, transport_oracle, lambda: _induced_cost(ws, weights.c)
+    transport, route, plan = _transport_term(
+        nu, density, p, lambda: _induced_cost(ws, weights.c)
     )
     s = (weights.c[None, :] - ws.dist_p).max(axis=1)
     dual = ws.dual_value(weights.c, s)
@@ -593,4 +595,4 @@ def min_Fp_nu(
         "mass_residual": weights.residual,
         "transport_route": route,
     }
-    return density, breakdown
+    return density, breakdown, plan

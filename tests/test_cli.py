@@ -80,6 +80,37 @@ class TestMuSubproblemMode:
         assert objective["total"] == pytest.approx(objective["transport"] + objective["F"])
         assert (out / "plan.csv").exists()
 
+    def test_dump_plans_writes_the_one_solved_plan(self, tmp_path, monkeypatch):
+        import numpy as np
+
+        from subcities import (
+            GridDensity,
+            WeightedPointCloud,
+            discrete_transport,
+            normalize,
+            to_point_cloud,
+        )
+
+        solve = discrete_transport.solve_discrete_transport
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(discrete_transport, "solve_discrete_transport", counted)
+        atoms = [{"point": [0.35], "mass": 0.5}, {"point": [0.65], "mass": 0.5}]
+        cfg = write_config(
+            tmp_path, {**BASE, "domain": [[0.0, 1.0]], "grid": 200, "atoms": atoms}
+        )
+        out = tmp_path / "run"
+        assert main(["mu-subproblem", "--config", str(cfg), "--out", str(out), "--dump-plans"]) == 0
+        assert len(calls) == 1
+        cloud = to_point_cloud(normalize(GridDensity.from_csv(out / "density.csv")))
+        nu = WeightedPointCloud(np.array([[0.35], [0.65]]), np.array([0.5, 0.5]))
+        solve(cloud, nu, 2.0).dump_csv(tmp_path / "direct.csv")
+        assert (out / "plan.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
     def test_nonconvergent_exit_code(self, tmp_path):
         # asymmetric atoms on a coarse grid cannot reach the default
         # mass-balance tolerance; the run must exit 2 with an error report
