@@ -7,13 +7,18 @@ quantized units; the quantization residual is reported on the plan. Node
 potentials maintained by the algorithm provide an optimality certificate:
 they are dual-feasible everywhere and complementary-slack on the support.
 
-Each shortest-path search labels only the k nodes of the smaller side (a
-wide instance is solved transposed). A path alternates sides, so a label
-moves from one of those nodes to another back along one of its flow edges
-and forward on a second edge of the same opposite-side node; those
-exchange costs are taken over all opposite-side nodes at once with numpy.
-An augmentation costs O(n*k) numpy work plus O(k^2) for the search, which
-suits the production shape: n grid cells against k atoms.
+The flow starts from the nearest-target assignment: every source sends its
+whole supply to its cheapest target, which is optimal for the potentials it
+comes with. Successive shortest paths then move only the excess, from the
+targets that received too much to those that received too little, so a
+tall instance takes a few dozen augmentations instead of about one per
+source. Each shortest-path search labels only the k nodes of the smaller
+side (a wide instance is solved transposed). A path alternates sides, so a
+label moves from one of those nodes to another back along one of its flow
+edges and forward on a second edge of the same opposite-side node; those
+exchange costs are taken over all opposite-side nodes at once with numpy,
+for every node on the current smallest label together. This suits the
+production shape: n grid cells against k atoms.
 """
 
 from __future__ import annotations
@@ -44,14 +49,27 @@ def _pairwise_cost(xs: np.ndarray, ys: np.ndarray, p: float) -> np.ndarray:
 
 
 def quantize_to_units(weights: np.ndarray, denominator: int) -> np.ndarray:
-    """Largest-remainder rounding to integer units summing to ``denominator``."""
+    """Largest-remainder rounding to integer units summing to ``denominator``.
+
+    Weights need only sum to 1 within the input tolerance: a shortfall adds
+    units in order of the largest remainders, an overshoot takes them back
+    in order of the smallest, a point at a time and never below zero.
+    """
     w = np.asarray(weights, dtype=float)
     units = np.floor(w * denominator).astype(np.int64)
     short = int(denominator - units.sum())
-    if short > 0:
+    if short != 0:
         frac = w * denominator - units
         order = np.lexsort((np.arange(len(w)), -frac))
-        units[order[:short]] += 1
+        while short > 0:
+            give = order[:short]
+            units[give] += 1
+            short -= len(give)
+        smallest = order[::-1]
+        while short < 0:
+            take = smallest[units[smallest] > 0][:-short]
+            units[take] -= 1
+            short += len(take)
     return units
 
 
@@ -104,60 +122,67 @@ class PotentialPair:
 
 
 def _ssp(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
-    """Successive shortest paths on the uncapacitated bipartite graph.
+    """Successive shortest paths from the nearest-target assignment.
 
     Returns a dense integer flow matrix plus potentials (psi, psi_c)
     satisfying psi_i + psi_c_j <= c_ij with equality on every flow-carrying
-    pair. Shortest paths are labelled on the smaller side only; a wide
-    instance is solved transposed and its potentials swapped back.
+    pair. Every source first sends its whole supply to its cheapest target
+    (the first ``argmin`` of its cost row). With phi_s = -min_j c_ij and
+    phi_t = 0 every reduced cost c_ij + phi_s_i - phi_t_j is then
+    nonnegative, and zero on every flow edge. Each round moves excess from
+    the targets that received more than their demand to one that received
+    less, along a shortest path of exchanges between targets (Ahuja,
+    Magnanti & Orlin, *Network Flows*, 1993, ch. 9). Shortest paths are
+    labelled on the smaller side only; a wide instance is solved transposed
+    and its potentials swapped back.
     """
     n, m = cost.shape
     if n < m:
         flow, psi_c, psi = _ssp(cost.T, demand, supply)
         return flow.T, psi, psi_c
-    phi_s = np.zeros(n)
+    nearest = cost.argmin(axis=1)
+    phi_s = -cost[np.arange(n), nearest]
     phi_t = np.zeros(m)
-    rem_s = supply.astype(np.int64).copy()
-    rem_t = demand.astype(np.int64).copy()
     flow = np.zeros((n, m), dtype=np.int64, order="F")  # columns are scanned
+    flow[np.arange(n), nearest] = supply
+    excess = flow.sum(axis=0) - demand
     cols = np.arange(m)
-    # Sources with supply left were on distance 0 in every search so far,
-    # so their potentials are still 0 and each column's cheapest one is the
-    # first of its cost order that has supply left.
-    order = np.argsort(cost, axis=0, kind="stable")
-    head = (rem_s[order] > 0).argmax(axis=0)
-    total_rem = int(rem_s.sum())
     rounds = 0
-    while total_rem > 0:
+    while (excess > 0).any():
         rounds += 1
         if rounds > 50 * (n + m) + 1000:
             raise NoConvergence("augmentation guard tripped in transport solve")
-        # Dijkstra over the targets: a label reaches target j' either
-        # straight from a source with supply left, or from a settled target
-        # j back along one of j's flow edges (i, j) and forward on (i, j').
-        # ``key`` holds tentative labels of unsettled targets, ``dist`` the
-        # settled ones; sources get their labels on the way.
-        pred_src = order[head, cols]
-        key = np.maximum(cost[pred_src, cols] - phi_t, 0.0)
+        # Dijkstra over the targets from every target with excess, at
+        # distance 0: a label reaches target j' from a settled target j back
+        # along one of j's flow edges (i, j) and forward on (i, j'). ``key``
+        # holds tentative labels of unsettled targets, ``dist`` the settled
+        # ones; sources get their labels on the way. All targets on the
+        # smallest label are settled together (zero-cost exchanges make many
+        # of them share label 0), and the search stops at a level holding a
+        # target short of its demand.
+        key = np.where(excess > 0, 0.0, np.inf)
+        pred_src = np.full(m, -1, dtype=np.int64)
         pred_tgt = np.full(m, -1, dtype=np.int64)
         dist = np.full(m, np.inf)
         unsettled = np.ones(m, dtype=bool)
         dist_s = np.full(n, np.inf)
         while True:
-            j = int(key.argmin())
-            d = key[j]
+            d = key.min()
             if d == np.inf:
                 raise NoConvergence("no augmenting path found in transport solve")
-            dist[j] = d
-            key[j] = np.inf
-            unsettled[j] = False
-            if rem_t[j] > 0:
+            level = np.flatnonzero(key == d)
+            dist[level] = d
+            key[level] = np.inf
+            unsettled[level] = False
+            short = level[excess[level] < 0]
+            if len(short):
                 break
-            rows = np.nonzero(flow[:, j])[0]
+            rows, at = np.nonzero(flow[:, level])
             if len(rows) == 0:
                 continue
-            via = d + np.maximum(phi_t[j] - phi_s[rows] - cost[rows, j], 0.0)
-            dist_s[rows] = np.minimum(dist_s[rows], via)
+            via_tgt = level[at]
+            via = d + np.maximum(phi_t[via_tgt] - phi_s[rows] - cost[rows, via_tgt], 0.0)
+            np.minimum.at(dist_s, rows, via)
             cand = via[:, None] + np.maximum(
                 cost[rows] + (phi_s[rows, None] - phi_t), 0.0
             )
@@ -166,35 +191,27 @@ def _ssp(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
             better = (nd < key) & unsettled
             key[better] = nd[better]
             pred_src[better] = rows[best[better]]
-            pred_tgt[better] = j
-        t_star = j
-        # potential update keeps reduced costs nonnegative; sources with
-        # supply left sit at distance 0, unsettled nodes at d or beyond
+            pred_tgt[better] = via_tgt[best[better]]
+        # potential update keeps reduced costs nonnegative; unsettled nodes
+        # sit at d or beyond
         if d > 0.0:
-            dist_s[rem_s > 0] = 0.0
             phi_s += np.minimum(dist_s, d)
             phi_t += np.minimum(dist, d)
-        # trace augmenting path, find bottleneck, apply
+        # trace the path back to a target with excess, find the bottleneck,
+        # apply
+        t_star = j = int(short[0])
         path = []
-        j = t_star
-        while j >= 0:
+        while pred_tgt[j] >= 0:
             path.append((int(pred_src[j]), j, int(pred_tgt[j])))
             j = int(pred_tgt[j])
-        start = path[-1][0]
-        delta = min(int(rem_s[start]), int(rem_t[t_star]))
-        for i, _, jb in path[:-1]:
+        delta = min(int(excess[j]), int(-excess[t_star]))
+        for i, _, jb in path:
             delta = min(delta, int(flow[i, jb]))
         for i, jf, jb in path:
             flow[i, jf] += delta
-            if jb >= 0:
-                flow[i, jb] -= delta
-        rem_s[start] -= delta
-        rem_t[t_star] -= delta
-        total_rem -= delta
-        if rem_s[start] == 0 and total_rem > 0:
-            for j in np.nonzero(order[head, cols] == start)[0]:
-                while rem_s[order[head[j], j]] == 0:
-                    head[j] += 1
+            flow[i, jb] -= delta
+        excess[j] -= delta
+        excess[t_star] += delta
     return flow, -phi_s, phi_t
 
 

@@ -107,22 +107,23 @@ def best_density_for(
     best_val, best_pi = val, pi.copy()
     for _ in range(max_iter):
         gr = grad(y)
+        v_y = value(y)
         step *= 1.3
         while True:
             cand = _project_columns(y - step * gr, a)
             diff = cand - y
-            quad = value(y) + float((gr * diff).sum()) + float((diff * diff).sum()) / (2 * step)
+            quad = v_y + float((gr * diff).sum()) + float((diff * diff).sum()) / (2 * step)
             v_cand = value(cand)
             if v_cand <= quad + 1e-14 * (1.0 + abs(v_cand)) or step < 1e-14:
                 break
             step *= 0.5
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
         y = cand + ((t_acc - 1.0) / t_next) * (cand - pi)
-        if value(cand) > val:  # restart acceleration on non-monotone step
+        if v_cand > val:  # restart acceleration on non-monotone step
             y = cand.copy()
             t_next = 1.0
         pi, t_acc = cand, t_next
-        new_val = value(pi)
+        new_val = v_cand
         if new_val < best_val:
             best_val, best_pi = new_val, pi.copy()
         if abs(val - new_val) <= 1e-14 * (1.0 + abs(new_val)):

@@ -12,6 +12,7 @@ from subcities import (
     solve_discrete_transport,
     wasserstein,
 )
+from subcities.discrete_transport import DEFAULT_DENOMINATOR, quantize_to_units
 
 
 def random_instance(rng, n_src, n_tgt, dim=2, scale=1.0):
@@ -85,6 +86,86 @@ class TestSolve:
         sided = WeightedPointCloud([[1.0]], [1.0 - 7e-9])
         with pytest.raises(UnbalancedMasses):
             solve_discrete_transport(lop, sided, 1.0)
+
+
+def assert_certified(plan):
+    """Duality gap, marginals and dual feasibility of an exact plan."""
+    src, tgt = plan.source, plan.target
+    dist = np.linalg.norm(src.points[:, None] - tgt.points[None, :], axis=2)
+    cost = dist**plan.cost_exponent
+    dual = src.weights @ plan.dual_psi + tgt.weights @ plan.dual_psi_c
+    assert abs(plan.total_cost - dual) <= 1e-8
+    assert max(plan.marginal_residuals()) <= 1e-9
+    assert (plan.dual_psi[:, None] + plan.dual_psi_c[None, :] - cost).max() <= 1e-9
+
+
+class TestDegenerateStarts:
+    """Instances whose nearest-target start is lopsided or tied."""
+
+    def test_every_source_nearest_to_one_target(self):
+        rng = np.random.default_rng(12)
+        src = WeightedPointCloud(rng.random((30, 2)) * 0.1, np.full(30, 1 / 30))
+        tgt = WeightedPointCloud([[0.05, 0.05], [0.9, 0.2], [0.3, 0.95]], [0.1, 0.5, 0.4])
+        dist = np.linalg.norm(src.points[:, None] - tgt.points[None, :], axis=2)
+        assert (dist.argmin(axis=1) == 0).all()
+        plan = solve_discrete_transport(src, tgt, 2.0)
+        assert_certified(plan)
+
+    def test_sources_equidistant_from_two_targets(self):
+        # every source is on the symmetry axis of the two targets
+        rng = np.random.default_rng(13)
+        axis = np.column_stack([np.full(12, 0.5), rng.random(12)])
+        src = WeightedPointCloud(axis, np.full(12, 1 / 12))
+        tgt = WeightedPointCloud([[0.2, 0.5], [0.8, 0.5]], [0.3, 0.7])
+        for p in (1.0, 2.0):
+            plan = solve_discrete_transport(src, tgt, p)
+            assert_certified(plan)
+            assert plan.dual_psi_c[0] == pytest.approx(plan.dual_psi_c[1], abs=1e-12)
+
+    def test_weight_quantized_to_zero_units(self):
+        w = np.array([1e-12, 0.4, 0.6 - 1e-12])
+        assert quantize_to_units(w, DEFAULT_DENOMINATOR)[0] == 0
+        src = WeightedPointCloud([[0.0], [0.5], [1.0]], w)
+        tgt = WeightedPointCloud([[0.1], [0.9]], [0.5, 0.5])
+        for a, b in ((src, tgt), (tgt, src)):
+            plan = solve_discrete_transport(a, b, 1.5)
+            assert_certified(plan)
+
+    def test_wide_instance(self):
+        rng = np.random.default_rng(14)
+        for n, m in ((2, 9), (3, 40), (5, 6)):
+            src, tgt = random_instance(rng, n, m)
+            plan = solve_discrete_transport(src, tgt, 2.0)
+            assert_certified(plan)
+            flipped = solve_discrete_transport(tgt, src, 2.0)
+            assert flipped.total_cost == pytest.approx(plan.total_cost, abs=1e-12)
+
+
+class TestQuantization:
+    def test_units_sum_to_denominator(self):
+        for w in ([0.5 + 2e-9, 0.5 + 2e-9], [0.5 - 4e-9, 0.5 - 4e-9], [1e-12, 1.0 - 1e-12 + 9e-9]):
+            units = quantize_to_units(np.array(w), DEFAULT_DENOMINATOR)
+            assert units.sum() == DEFAULT_DENOMINATOR
+            assert (units >= 0).all()
+            assert np.abs(units / DEFAULT_DENOMINATOR - w).max() <= 1e-8
+
+    def test_weights_off_unit_sum_solve(self):
+        # weight sums of 1 +- 4e-9 are valid clouds; an overshoot left more
+        # supply units than demand units and no augmenting path for the rest
+        rng = np.random.default_rng(15)
+        for _ in range(40):
+            n, m = int(rng.integers(2, 60)), int(rng.integers(2, 5))
+            ws = rng.random(n) + 0.05
+            wt = rng.random(m) + 0.05
+            scale = 1 + rng.choice([-4e-9, 4e-9])
+            src = WeightedPointCloud(rng.random((n, 2)), ws / ws.sum() * scale)
+            tgt = WeightedPointCloud(rng.random((m, 2)), wt / wt.sum())
+            plan = solve_discrete_transport(src, tgt, 2.0)
+            for cloud in (src, tgt):
+                units = quantize_to_units(cloud.weights, DEFAULT_DENOMINATOR)
+                assert units.sum() == DEFAULT_DENOMINATOR
+            assert abs(plan.flow_mass.sum() - 1.0) <= 1e-12
+            assert max(plan.marginal_residuals()) <= 1e-8
 
 
 class TestWasserstein:

@@ -3,7 +3,9 @@
 Every weight is a multiple of 1/1000, so the solver's integer mass units
 represent both marginals exactly and both solvers solve the same LP. Shapes
 cover tall n x k clouds (the production shape), their transposes, square
-instances, and degenerate ties, each at p in {1, 1.5, 2}.
+instances, and degenerate ties, each at p in {1, 1.5, 2}. Random points
+make the tall, wide and square instances tie-free, so their optimal plan is
+unique and the whole flow matrix is compared, not only the optimal value.
 """
 
 import numpy as np
@@ -35,7 +37,7 @@ def cost_matrix(src, tgt, p):
     return np.linalg.norm(src.points[:, None, :] - tgt.points[None, :, :], axis=2) ** p
 
 
-def highs_value(src, tgt, cost):
+def highs_solve(src, tgt, cost):
     n, m = cost.shape
     rows = sparse.kron(sparse.identity(n), np.ones((1, m)))
     cols = sparse.kron(np.ones((1, n)), sparse.identity(m))
@@ -47,14 +49,20 @@ def highs_value(src, tgt, cost):
         method="highs",
     )
     assert res.status == 0, res.message
-    return res.fun
+    return res.fun, res.x.reshape(n, m)
 
 
-def assert_matches_highs(src, tgt, p):
+def assert_matches_highs(src, tgt, p, unique=False):
+    """Same optimal value as HiGHS; with ``unique`` (a tie-free instance,
+    whose optimal plan is unique) also the same plan."""
     plan = solve_discrete_transport(src, tgt, p)
     cost = cost_matrix(src, tgt, p)
-    fun = highs_value(src, tgt, cost)
+    fun, x = highs_solve(src, tgt, cost)
     assert abs(plan.total_cost - fun) <= 1e-9 * (1.0 + abs(fun))
+    if unique:
+        flow = np.zeros(cost.shape)
+        flow[plan.flow_i, plan.flow_j] = plan.flow_mass
+        assert np.abs(flow - x).max() <= 1e-9
     dual = src.weights @ plan.dual_psi + tgt.weights @ plan.dual_psi_c
     assert abs(plan.total_cost - dual) <= GAP_TOL
     assert max(plan.marginal_residuals()) <= MARGINAL_TOL
@@ -70,20 +78,22 @@ def tall_case(k, seed):
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_tall(k, p):
     src, tgt = tall_case(k, seed=100 + k)
-    assert_matches_highs(src, tgt, p)
+    assert_matches_highs(src, tgt, p, unique=True)
 
 
 @pytest.mark.parametrize("p", EXPONENTS)
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_wide(k, p):
     src, tgt = tall_case(k, seed=200 + k)
-    assert_matches_highs(tgt, src, p)
+    assert_matches_highs(tgt, src, p, unique=True)
 
 
 @pytest.mark.parametrize("p", EXPONENTS)
 def test_square(p):
     rng = np.random.default_rng(300)
-    assert_matches_highs(cloud(rng, rng.random((24, 2))), cloud(rng, rng.random((24, 2))), p)
+    assert_matches_highs(
+        cloud(rng, rng.random((24, 2))), cloud(rng, rng.random((24, 2))), p, unique=True
+    )
 
 
 def duplicate_sources(rng):
