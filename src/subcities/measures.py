@@ -181,8 +181,8 @@ class GridDensity:
             "resolution," + ",".join(str(r) for r in self.resolution),
         ]
         flat = self.values.reshape(self.resolution[0], -1)
-        for row in flat:
-            lines.append(",".join(repr(float(v)) for v in row))
+        for row in flat.tolist():
+            lines.append(",".join(map(repr, row)))
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod

@@ -5,11 +5,12 @@ around each atom pinned by one weight per atom: u(x) = k(max_i(c_i - |x-x_i|^p) 
 Weights are solved so each atom's cell carries exactly its mass, by damped
 Newton on the concave dual with a boundary-coupled Jacobian. The Armijo line
 search evaluates its step factors in batches, one workspace ``stats`` call
-per batch, and accepts the first passing factor in order; the Jacobian's
-cell geometry is cached per workspace. If Newton stops above the tolerance,
-one monotone pass (a per-coordinate bisection sweep, then a uniform shift
-balancing the total mass) starts from its best iterate and is kept only if
-it lowers the residual.
+per batch (a wide first batch on small grids), and accepts the first passing
+factor in order; the Jacobian's boundary-layer widths are tabulated once per
+workspace. If Newton stops above the tolerance, one monotone pass (a
+per-coordinate bisection sweep whose trials read only the moving weight's
+score column, then a uniform shift balancing the total mass) starts from its
+best iterate and is kept only if it lowers the residual.
 
 Hard cell assignment on a grid makes the per-atom mass map piecewise smooth
 with jumps of order (boundary density) * (cell volume), so that is the
@@ -19,6 +20,7 @@ and single-atom instances solve to machine precision.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -264,12 +266,29 @@ class _Workspace:
         )
 
     @cached_property
-    def _grads(self) -> np.ndarray:
-        """Gradient in x of |x - x_i|^p at every cell center, shape (n, m, dim)."""
-        d = self.dist[:, :, None]
-        vec = self.centers[:, None, :] - self.atoms.points[None, :, :]
-        scale = np.where(d > 0, d, 1.0) ** (self.p - 2.0)  # vec is 0 where d is 0
-        return self.p * scale * vec
+    def _layer(self) -> tuple[np.ndarray, np.ndarray]:
+        """Boundary-layer width of every cell and atom pair, as (pair, tau).
+
+        ``pair[a, b]`` numbers the pair {a, b} and ``tau[x, pair[a, b]]`` is
+        max(|grad_b - grad_a| * h, 1e-14), grad_i the gradient in x of
+        |x - x_i|^p at cell centre x and h the cell diameter. Each pair's
+        column is built from the two atoms' (n, dim) gradients; no
+        (n, m, m, dim) array is formed.
+        """
+        n, m = self.dist.shape
+        grads = []
+        for i in range(m):
+            d = self.dist[:, i, None]
+            vec = self.centers - self.atoms.points[i]
+            scale = np.where(d > 0, d, 1.0) ** (self.p - 2.0)  # vec is 0 where d is 0
+            grads.append(self.p * scale * vec)
+        pair = np.zeros((m, m), dtype=np.intp)
+        tau = np.empty((n, m * (m - 1) // 2))
+        for k, (a, b) in enumerate(itertools.combinations(range(m), 2)):
+            grad_gap = np.linalg.norm(grads[b] - grads[a], axis=1)
+            tau[:, k] = np.maximum(grad_gap * self.grid.cell_diameter, 1e-14)
+            pair[a, b] = pair[b, a] = k
+        return pair, tau
 
     def full_jacobian(self, c: np.ndarray) -> np.ndarray:
         """Mass sensitivity: diagonal response plus cell-boundary coupling."""
@@ -289,8 +308,8 @@ class _Workspace:
             gap = s - scores[self._idx, runner]
             ii = np.nonzero(active)[0]
             a, b = winner[ii], runner[ii]
-            grad_gap = np.linalg.norm(self._grads[ii, b] - self._grads[ii, a], axis=1)
-            tau = np.maximum(grad_gap * self.grid.cell_diameter, 1e-14)
+            pair, widths = self._layer
+            tau = widths[ii, pair[a, b]]
             on = gap[ii] <= tau
             coupling = self.f.k(s[ii][on]) * self.vol / tau[on]
             aa, bb = a[on], b[on]
@@ -324,14 +343,33 @@ def cell_masses(
 
 
 def _coordinate_sweep(ws: _Workspace, c: np.ndarray, targets: np.ndarray):
-    """Gauss-Seidel pass: bisect each weight to its own mass balance."""
+    """Gauss-Seidel pass: bisect each weight to its own mass balance.
+
+    While weight i moves the other weights stay fixed, so atom i's cells
+    follow from its own score column: it must beat every lower-index atom
+    strictly and at least tie every higher-index one (``stats``' first-max
+    rule), against per-cell bests computed once per weight. Atom i's mass is
+    then summed over its cells in cell order, as ``stats``' bincount sums
+    it, so every trial's mass is ``ws.stats(trial)[3][i]`` bit for bit.
+    """
     c = c.copy()
     for i in range(ws.m):
+        scores = c - ws.dist_p
+        # s > lower  <=>  s >= nextafter(lower, inf); no atom on a side
+        # leaves -inf there, which every finite score meets
+        lower = np.nextafter(scores[:, :i].max(axis=1), np.inf) if i else -np.inf
+        upper = scores[:, i + 1 :].max(axis=1) if i + 1 < ws.m else -np.inf
+        floor = np.maximum(lower, upper)
+        column = ws.dist_p[:, i].copy()
+
+        def mass(weight):
+            s = weight - column
+            s = s[s >= floor]
+            return np.cumsum(ws.f.k(s) * ws.vol)[-1] if len(s) else 0.0
+
         lo, hi = 0.0, max(c[i], 1e-6)
         for _ in range(80):
-            trial = c.copy()
-            trial[i] = hi
-            if ws.stats(trial)[3][i] >= targets[i]:
+            if mass(hi) >= targets[i]:
                 break
             hi *= 2.0
         else:
@@ -340,9 +378,7 @@ def _coordinate_sweep(ws: _Workspace, c: np.ndarray, targets: np.ndarray):
             )
         for _ in range(48):
             mid = 0.5 * (lo + hi)
-            trial = c.copy()
-            trial[i] = mid
-            if ws.stats(trial)[3][i] < targets[i]:
+            if mass(mid) < targets[i]:
                 lo = mid
             else:
                 hi = mid
@@ -487,26 +523,30 @@ def _solve_weights_best(
     return best_c, best_res
 
 
-# Newton step factors 2^0 ... 2^-43, every power of two above 1e-13, and the
+# Newton step factors 2^0 ... 2^-43, every power of two above 1e-13; the
 # cells x atoms x trials cap on one batched line-search stats call, which
-# bounds its (trials, cells, atoms) temporaries at 256 KiB
+# bounds its (trials, cells, atoms) temporaries at 256 KiB; and the smaller
+# budget that sizes the first batch, where a call on a small grid costs
+# mostly its overhead
 _STEP_FACTORS = 0.5 ** np.arange(44)
 _TRIAL_BUDGET = 1 << 15
+_FIRST_BATCH_BUDGET = 1 << 11
 
 
 def _line_search(ws: _Workspace, c: np.ndarray, step: np.ndarray, phi: float, slope: float):
     """Armijo backtracking along ``step``: the first passing step factor.
 
     Factors are tried in order, as a one-at-a-time halving loop tries them,
-    but in batches of one ``stats`` call each: a single trial first (the
-    full step passes often), then 2, 4, 8, ... up to the trial budget.
+    but in batches of one ``stats`` call each: a first batch of as many
+    trials as fit the first-batch budget (a single trial on a large grid),
+    then twice as many per call up to the trial budget.
     Returns (weights, cell masses, dual value) of the accepted trial, or
     None when no factor passes.
     """
     masses = ws.atoms.masses
     slack = 1e-13 * (1.0 + abs(phi))
     cap = max(1, _TRIAL_BUDGET // ws.dist_p.size)
-    start, width = 0, 1
+    start, width = 0, max(1, _FIRST_BATCH_BUDGET // ws.dist_p.size)
     while start < len(_STEP_FACTORS):
         lams = _STEP_FACTORS[start : start + width]
         trials = c + lams[:, None] * step

@@ -140,6 +140,18 @@ class TestSerialization:
         assert lines[1].startswith("bounds,")
         assert lines[2] == "resolution,2"
 
+    def test_csv_rows_are_float_reprs(self, tmp_path):
+        # each value is written as repr of its Python float, in row order
+        values = np.array(
+            [[0.0, -0.0, 5e-324, 1e300], [0.1, 1.0 / 3.0, 2.5e-17, 123456789.0]]
+        )
+        d = make_grid_density(Domain.box([(0, 1), (0, 1)]), (2, 4), values)
+        path = tmp_path / "density.csv"
+        d.to_csv(path)
+        rows = path.read_text().splitlines()[3:]
+        assert rows == [",".join(repr(float(v)) for v in row) for row in values]
+        assert rows[0] == "0.0,-0.0,5e-324,1e+300"
+
     def test_pgm_scaling(self, tmp_path):
         d = make_grid_density(box1d(), 3, [0.0, 1.0, 2.0])
         path = tmp_path / "density.pgm"

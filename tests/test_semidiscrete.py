@@ -416,10 +416,33 @@ def _reference_polish(ws, c, total):
     return c + 0.5 * (lo + hi), len(calls) if pinned is None else pinned, len(calls)
 
 
+def _reference_sweep(ws, c, targets):
+    """_coordinate_sweep with every trial's mass read from a full stats call."""
+    c = c.copy()
+    for i in range(ws.m):
+        lo, hi = 0.0, max(c[i], 1e-6)
+        for _ in range(80):
+            trial = c.copy()
+            trial[i] = hi
+            if ws.stats(trial)[3][i] >= targets[i]:
+                break
+            hi *= 2.0
+        else:
+            raise GridTooCoarse(f"atom {i} cannot reach its target mass on this grid")
+        for _ in range(48):
+            mid = 0.5 * (lo + hi)
+            trial = c.copy()
+            trial[i] = mid
+            if ws.stats(trial)[3][i] < targets[i]:
+                lo = mid
+            else:
+                hi = mid
+        c[i] = hi
+    return c
+
+
 def _reference_solve(ws, tol, max_iter=500):
     """The weight solve with a one-trial-at-a-time halving line search."""
-    from subcities.semidiscrete import _coordinate_sweep
-
     targets = ws.atoms.masses
     c = np.array([radius_of_mass(ws.f, ws.p, ws.grid.domain.dim, m) for m in targets]) ** ws.p
     s, _, _, cm = ws.stats(c)
@@ -470,7 +493,7 @@ def _reference_solve(ws, tol, max_iter=500):
         ):
             break
     if best_res > tol:
-        c = _reference_polish(ws, _coordinate_sweep(ws, best_c, targets), float(targets.sum()))[0]
+        c = _reference_polish(ws, _reference_sweep(ws, best_c, targets), float(targets.sum()))[0]
         res = float(np.abs(ws.stats(c)[3] - targets).max())
         if res < best_res:
             best_res, best_c = res, c
@@ -498,8 +521,9 @@ def _random_workspace(rng):
 
 
 class TestBitIdentity:
-    """The batched line search, the cached Jacobian geometry and the polish's
-    early stop reproduce the plain loops bit for bit."""
+    """The batched line search, the tabulated Jacobian layer widths, the
+    one-column sweep and the polish's early stop reproduce the plain loops
+    bit for bit."""
 
     def test_solve_matches_sequential_line_search(self):
         from subcities.semidiscrete import _solve_weights_best, _Workspace
@@ -536,40 +560,52 @@ class TestBitIdentity:
 
     def test_line_search_matches_halving_loop(self):
         # grids past numpy's 128-element pairwise-sum blocks, where the
-        # trial budget caps the batches at 2 and at 21 trials
+        # trial budget caps the batches at 2 and at 21 trials, and small
+        # grids, where the first batch already holds 21 (32 cells x 3
+        # atoms) or 2 (16^2 x 3) factors
         from subcities.semidiscrete import _line_search, _Workspace
+
+        def halving(ws, c, step, phi, slope):
+            lam = 1.0
+            while lam > 1e-13:
+                c_try = c + lam * step
+                s2, _, _, cm2 = ws.stats(c_try)
+                phi2 = ws.dual_value(c_try, s2)
+                if phi2 >= phi + 1e-4 * lam * slope - 1e-13 * (1.0 + abs(phi)):
+                    return (c_try, cm2, phi2), lam
+                lam *= 0.5
+            return None, None
 
         rng = np.random.default_rng(14)
         square = Grid(Domain.box([(0, 1), (0, 1)]), (64, 64))
         cases = [
             (AtomicMeasure(rng.uniform(0.2, 0.8, (4, 2)), [0.2, 0.3, 0.1, 0.4]), 2.0, square),
             (AtomicMeasure([[0.3], [0.55], [0.8]], [0.3, 0.3, 0.4]), 1.5, grid1d(0, 1, 512)),
+            (AtomicMeasure([[0.2], [0.45], [0.8]], [0.3, 0.3, 0.4]), 2.0, grid1d(0, 1, 32)),
+            (AtomicMeasure([[0.3, 0.3], [0.7, 0.35], [0.5, 0.75]], [0.25, 0.35, 0.4]), 1.0,
+             Grid(Domain.box([(0, 1), (0, 1)]), (16, 16))),
         ]
-        taken = set()
         for atoms, p, grid in cases:
             ws = _Workspace(atoms, quadratic(), p, grid)
-            for _ in range(8):
+            taken = set()
+            for t in range(17):
                 c = rng.uniform(0.02, 0.2, ws.m)
                 s, _, _, cm = ws.stats(c)
                 phi = ws.dual_value(c, s)
-                step = (atoms.masses - cm) * 10.0 ** rng.uniform(0.0, 4.0)
-                slope = float((atoms.masses - cm) @ step)
-                want, lam = None, 1.0
-                while lam > 1e-13:
-                    c_try = c + lam * step
-                    s2, _, _, cm2 = ws.stats(c_try)
-                    phi2 = ws.dual_value(c_try, s2)
-                    if phi2 >= phi + 1e-4 * lam * slope - 1e-13 * (1.0 + abs(phi)):
-                        want = (c_try, cm2, phi2)
-                        break
-                    lam *= 0.5
+                if t < 16:
+                    step = (atoms.masses - cm) * 10.0 ** rng.uniform(-2.0, 9.0)
+                    slope = float((atoms.masses - cm) @ step)
+                else:  # a descent direction claimed steep: no factor passes
+                    step, slope = cm - atoms.masses, 1e6
+                want, lam = halving(ws, c, step, phi, slope)
                 got = _line_search(ws, c, step, phi, slope)
-                assert (got is None) == (want is None)
+                assert (got is None) == (want is None) == (t == 16)
                 if want is not None:
                     taken.add(lam)
                     for g, w in zip(got, want):
                         assert np.array_equal(g, w)
-        assert len(taken) > 4
+            # the full step, and factors inside and past the first batch
+            assert 1.0 in taken and min(taken) < 0.5**21 and len(taken) > 6
 
     def test_full_jacobian_matches_add_at(self):
         rng = np.random.default_rng(12)
@@ -584,6 +620,40 @@ class TestBitIdentity:
                 assert np.array_equal(ws.full_jacobian(c), want)
                 coupled += bool((want - np.diag(np.diag(want))).any())
         assert coupled > 100
+
+    def test_coordinate_sweep_matches_full_stats_bisection(self):
+        from subcities.semidiscrete import _coordinate_sweep, _Workspace
+
+        rng = np.random.default_rng(16)
+        workspaces = [_random_workspace(rng) for _ in range(80)]
+        # atoms mirrored about the middle cell's centre, and atoms on cell
+        # centres: tied weights tie exactly on the bisector cells
+        centres = Grid(Domain.box([(0, 1), (0, 1)]), (9, 9))
+        workspaces += [
+            _Workspace(AtomicMeasure([[0.25], [0.75]], [0.4, 0.6]), quadratic(), 2.0, grid1d(0, 1, 33)),
+            _Workspace(AtomicMeasure(centres.cell_centers()[[10, 40, 70]], [0.3, 0.3, 0.4]),
+                       power_f(1.3, 2.5), 1.0, centres),
+        ]
+        ties = 0
+        for ws in workspaces:
+            for tied in (False, True):
+                c = rng.uniform(0.0, 0.3, ws.m)
+                if tied:
+                    c[:] = c[0]
+                    ties += ws.m > 1
+                # the atom masses, and the cell masses at c itself, where
+                # the first trial's comparison is decided by the tied cells
+                for targets in (ws.atoms.masses, ws.stats(c)[3]):
+                    want = _reference_sweep(ws, c, targets)
+                    assert np.array_equal(_coordinate_sweep(ws, c, targets), want)
+        assert ties > 50
+        # no weight gives atom 1 this mass: 80 doublings, then GridTooCoarse
+        ws = _Workspace(AtomicMeasure([[0.25], [0.75]], [0.5, 0.5]), quadratic(), 2.0, grid1d(0, 1, 2))
+        targets = np.array([0.5, 1e300])
+        with pytest.raises(GridTooCoarse):
+            _reference_sweep(ws, np.zeros(2), targets)
+        with pytest.raises(GridTooCoarse):
+            _coordinate_sweep(ws, np.zeros(2), targets)
 
     def test_level_polish_matches_full_bisection(self):
         from subcities.semidiscrete import _level_polish
