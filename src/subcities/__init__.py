@@ -14,7 +14,6 @@ from .errors import (
     AtomOutsideDomain,
     ConditionNotSatisfied,
     ConfigError,
-    DegeneratePlan,
     EmptyCloud,
     GridTooCoarse,
     IncompatibleGrids,
@@ -52,10 +51,8 @@ from .functionals import (
     quadratic,
 )
 from .discrete_transport import (
-    PotentialPair,
     TransportPlan,
     c_transform,
-    recover_potentials,
     solve_discrete_transport,
     wasserstein,
 )

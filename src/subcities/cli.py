@@ -35,9 +35,7 @@ MODES = ("plan-rn", "plan-bounded", "mu-subproblem", "energy-curve", "validate")
 
 DEFAULT_TOLERANCES = {
     "mass_balance": 1e-7,
-    "probability": 1e-8,
     "newton_max_iter": 500,
-    "compare_objective": 1e-6,
 }
 
 _GRID_CELL_GUARD = 2_000_000
@@ -271,7 +269,7 @@ def _run_mu_subproblem(cfg: RunConfig, outdir: Path) -> dict:
     )
     artifacts: list = []
     _write_density(density, outdir, artifacts)
-    if cfg.dump_plans and plan is not None:
+    if cfg.dump_plans:
         plan.dump_csv(outdir / "plan.csv")
         artifacts.append("plan.csv")
     breakdown["G"] = eval_G(cfg.g, nu)

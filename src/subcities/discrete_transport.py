@@ -7,18 +7,20 @@ quantized units; the quantization residual is reported on the plan. Node
 potentials maintained by the algorithm provide an optimality certificate:
 they are dual-feasible everywhere and complementary-slack on the support.
 
-The flow starts from the nearest-target assignment: every source sends its
-whole supply to its cheapest target, which is optimal for the potentials it
-comes with. Successive shortest paths then move only the excess, from the
-targets that received too much to those that received too little, so a
-tall instance takes a few dozen augmentations instead of about one per
-source. Each shortest-path search labels only the k nodes of the smaller
-side (a wide instance is solved transposed). A path alternates sides, so a
-label moves from one of those nodes to another back along one of its flow
-edges and forward on a second edge of the same opposite-side node; those
-exchange costs are taken over all opposite-side nodes at once with numpy,
-for every node on the current smallest label together. This suits the
-production shape: n grid cells against k atoms.
+The flow starts from the cheapest assignment under optional target prices:
+every source sends its whole supply to the target minimizing cost minus
+price (its nearest target at zero prices), which is optimal for the
+potentials it comes with. Successive shortest paths then move only the
+excess, from the targets that received too much to those that received too
+little, so a tall instance takes a few dozen augmentations instead of about
+one per source, and a handful when the prices are the dual weights of a
+weight solve. Each shortest-path search labels only the k nodes of the
+smaller side (a wide instance is solved transposed). A path alternates
+sides, so a label moves from one of those nodes to another back along one
+of its flow edges and forward on a second edge of the same opposite-side
+node; those exchange costs are taken over all opposite-side nodes at once
+with numpy, for every node on the current smallest label together. This
+suits the production shape: n grid cells against k atoms.
 """
 
 from __future__ import annotations
@@ -27,18 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegeneratePlan,
-    EmptyCloud,
-    NoConvergence,
-    SubcitiesError,
-    UnbalancedMasses,
-)
+from .errors import EmptyCloud, NoConvergence, SubcitiesError, UnbalancedMasses
 from .measures import WeightedPointCloud
 
 DEFAULT_DENOMINATOR = 10**9
 _COST_MATRIX_GUARD = 10**8  # no full pairwise matrix above 1e4 x 1e4 points
-_FEASIBILITY_TOL = 1e-9  # dual violation above which component offsets are re-solved
 
 
 def _pairwise_cost(xs: np.ndarray, ys: np.ndarray, p: float) -> np.ndarray:
@@ -113,36 +108,33 @@ class TransportPlan:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True, eq=False)
-class PotentialPair:
-    """Kantorovich potentials on source and target points."""
-
-    psi: np.ndarray
-    psi_c: np.ndarray
-
-
-def _ssp(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
-    """Successive shortest paths from the nearest-target assignment.
+def _ssp(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray, prices=None):
+    """Successive shortest paths from the cheapest assignment under ``prices``.
 
     Returns a dense integer flow matrix plus potentials (psi, psi_c)
     satisfying psi_i + psi_c_j <= c_ij with equality on every flow-carrying
-    pair. Every source first sends its whole supply to its cheapest target
-    (the first ``argmin`` of its cost row). With phi_s = -min_j c_ij and
-    phi_t = 0 every reduced cost c_ij + phi_s_i - phi_t_j is then
-    nonnegative, and zero on every flow edge. Each round moves excess from
-    the targets that received more than their demand to one that received
-    less, along a shortest path of exchanges between targets (Ahuja,
-    Magnanti & Orlin, *Network Flows*, 1993, ch. 9). Shortest paths are
-    labelled on the smaller side only; a wide instance is solved transposed
-    and its potentials swapped back.
+    pair. Target j starts at potential phi_t_j = prices_j (0 without
+    prices), and every source first sends its whole supply to the first
+    ``argmin`` of its row of reduced = c - prices, with phi_s_i = -min_j
+    reduced_ij. Every reduced cost c_ij + phi_s_i - phi_t_j is then
+    nonnegative, and zero on every flow edge, whatever the prices, so they
+    only decide where the search starts: with zero prices each source goes
+    to its nearest target, with the dual weights of a converged weight solve
+    to its power-cell winner, which leaves only the mass residual to move.
+    Each round moves excess from the targets that received more than their
+    demand to one that received less, along a shortest path of exchanges
+    between targets (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9).
+    Shortest paths are labelled on the smaller side only; a wide instance is
+    solved transposed from zero prices and its potentials swapped back.
     """
     n, m = cost.shape
     if n < m:
         flow, psi_c, psi = _ssp(cost.T, demand, supply)
         return flow.T, psi, psi_c
-    nearest = cost.argmin(axis=1)
-    phi_s = -cost[np.arange(n), nearest]
-    phi_t = np.zeros(m)
+    phi_t = np.zeros(m) if prices is None else np.array(prices, dtype=float)
+    reduced = cost - phi_t
+    nearest = reduced.argmin(axis=1)
+    phi_s = -reduced[np.arange(n), nearest]
     flow = np.zeros((n, m), dtype=np.int64, order="F")  # columns are scanned
     flow[np.arange(n), nearest] = supply
     excess = flow.sum(axis=0) - demand
@@ -219,12 +211,17 @@ def solve_discrete_transport(
     source: WeightedPointCloud,
     target: WeightedPointCloud,
     p: float,
+    prices=None,
 ) -> TransportPlan:
     """Exactly optimal coupling for the finite transportation linear program.
 
     The returned ``total_cost`` equals W_p^p of the two clouds. Degenerate
     shapes (a single source or a single target) have a forced plan and are
-    resolved directly without quantization.
+    resolved directly without quantization. ``prices``, one per target,
+    start the solve from the cheapest assignment under c - prices (see
+    ``_ssp``); any prices give an optimal plan, and good ones (the dual
+    weights of a weight solve) leave less to move. A wide instance (fewer
+    sources than targets) is solved transposed and ignores them.
     """
     if len(source) == 0 or len(target) == 0:
         raise EmptyCloud("transport needs nonempty point clouds")
@@ -260,7 +257,7 @@ def solve_discrete_transport(
         float(np.abs(supply / DEFAULT_DENOMINATOR - source.weights).max()),
         float(np.abs(demand / DEFAULT_DENOMINATOR - target.weights).max()),
     )
-    flow, psi, psi_c = _ssp(cost, supply, demand)
+    flow, psi, psi_c = _ssp(cost, supply, demand, prices)
     fi, fj = np.nonzero(flow)
     fmass = flow[fi, fj] / DEFAULT_DENOMINATOR
     total = float(cost[fi, fj] @ fmass)
@@ -276,97 +273,6 @@ def c_transform(points: np.ndarray, values: np.ndarray, opposite_points: np.ndar
         raise EmptyCloud("c-transform needs nonempty point sets")
     cost = _pairwise_cost(opposite_points, points, p)
     return (cost - values[None, :]).min(axis=1)
-
-
-def recover_potentials(plan: TransportPlan) -> PotentialPair:
-    """Dual potentials for an optimal plan, rebuilt from its support graph.
-
-    Complementary slackness pins the potentials along every flow edge, so one
-    depth-first sweep fixes them up to one constant per connected component
-    of the support graph, and labels the components as it goes. Components
-    are normalized to min-zero over their sources; if those shifts break
-    cross-component feasibility the offsets are re-solved as a
-    difference-constraint system, and a final global shift restores min-zero
-    over the support.
-    """
-    n, m = len(plan.source), len(plan.target)
-    cost = _pairwise_cost(plan.source.points, plan.target.points, plan.cost_exponent)
-    fi, fj = plan.flow_i, plan.flow_j
-    adj_s: list[list[int]] = [[] for _ in range(n)]
-    adj_t: list[list[int]] = [[] for _ in range(m)]
-    for i, j in zip(fi, fj):
-        adj_s[int(i)].append(int(j))
-        adj_t[int(j)].append(int(i))
-    psi = np.full(n, np.nan)
-    psi_c = np.full(m, np.nan)
-    comp_s = np.full(n, -1, dtype=int)
-    comp_t = np.full(m, -1, dtype=int)
-    n_comp = 0
-    for root in range(n):
-        if comp_s[root] >= 0:
-            continue
-        psi[root] = 0.0
-        comp_s[root] = n_comp
-        stack = [("s", root)]
-        while stack:
-            side, u = stack.pop()
-            if side == "s":
-                for j in adj_s[u]:
-                    if comp_t[j] < 0:
-                        comp_t[j] = n_comp
-                        psi_c[j] = cost[u, j] - psi[u]
-                        stack.append(("t", j))
-            else:
-                for i in adj_t[u]:
-                    if comp_s[i] < 0:
-                        comp_s[i] = n_comp
-                        psi[i] = cost[i, u] - psi_c[u]
-                        stack.append(("s", i))
-        n_comp += 1
-    if (comp_t < 0).any():
-        raise DegeneratePlan("plan support does not cover all points")
-    # per-component min-zero over sources
-    for c in range(n_comp):
-        mask = comp_s == c
-        if mask.any():
-            shift = psi[mask].min()
-            psi[mask] -= shift
-            psi_c[comp_t == c] += shift
-    violation = (psi[:, None] + psi_c[None, :] - cost).max()
-    if violation > _FEASIBILITY_TOL and n_comp > 1:
-        # difference constraints delta_B - delta_A <= slack(A, B), solved by
-        # Bellman-Ford from a virtual root; a feasible assignment exists
-        # because the LP dual does.
-        slack_mat = np.full((n_comp, n_comp), np.inf)
-        gap = cost - psi[:, None] - psi_c[None, :]
-        for a in range(n_comp):
-            rows = comp_s == a
-            if not rows.any():
-                continue
-            for b in range(n_comp):
-                cols = comp_t == b
-                if a == b or not cols.any():
-                    continue
-                slack_mat[a, b] = gap[np.ix_(rows, cols)].min()
-        delta = np.zeros(n_comp)
-        for _ in range(n_comp):
-            changed = False
-            for a in range(n_comp):
-                reach = delta[a] + slack_mat[a]
-                lower = reach < delta - 1e-15
-                if lower.any():
-                    delta[lower] = reach[lower]
-                    changed = True
-            if not changed:
-                break
-        else:
-            raise DegeneratePlan("cross-component feasibility repair failed")
-        psi -= delta[comp_s]
-        psi_c += delta[comp_t]
-        shift = psi.min()
-        psi -= shift
-        psi_c += shift
-    return PotentialPair(psi=psi, psi_c=psi_c)
 
 
 def wasserstein(source: WeightedPointCloud, target: WeightedPointCloud, p: float) -> float:

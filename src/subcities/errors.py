@@ -29,10 +29,6 @@ class EmptyCloud(SubcitiesError):
     """A point cloud with no points was passed to a transport routine."""
 
 
-class DegeneratePlan(SubcitiesError):
-    """Potentials could not be recovered from a degenerate transport plan."""
-
-
 class NoConvergence(SubcitiesError):
     """An iterative solver did not reach the requested tolerance."""
 

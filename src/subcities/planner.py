@@ -26,7 +26,6 @@ from .semidiscrete import (
     _transport_term,
     _Workspace,
     density_from_weights,
-    induced_transport_cost,
     radial_power_integral,
     radius_of_mass,
     unit_ball_volume,
@@ -325,7 +324,7 @@ def assemble_rn_solution(
     Atoms are spaced so every pairwise gap exceeds twice the uniform radius
     bound, which makes the per-ball profile construction exact. The
     transport term is reported both in closed form and through the discrete
-    oracle (exact LP when affordable, certified induced plan otherwise).
+    oracle: the exact LP, warm-started from the weights R_i^p.
     """
     masses = np.asarray(masses, dtype=float)
     if np.any(masses <= 0):
@@ -355,16 +354,13 @@ def assemble_rn_solution(
     transport_closed = float(sum(_ball_transport_cost(f, p, n, R) for R in radii))
     f_term = eval_F(f, density)
     g_term = eval_G(g, atoms)
-    oracle_cost, oracle_route, _ = _transport_term(
-        atoms, density, p, lambda: induced_transport_cost(atoms, weights, f, p, grid)
-    )
+    oracle_cost, _ = _transport_term(atoms, density, p, weights)
     objective = {
         "transport": transport_closed,
         "F": f_term,
         "G": g_term,
         "total": transport_closed + f_term + g_term,
         "transport_oracle": oracle_cost,
-        "oracle_route": oracle_route,
     }
     profiles = [
         SubcityProfile(center=tuple(pt), mass=float(m), radius=float(R), weight=float(R**p))
@@ -416,8 +412,11 @@ def solve_bounded(
     and is kept only if the full objective decreases, so the objective
     sequence is monotone nonincreasing. Position moves use the transport
     barycenter of each atom's cell (median per coordinate when p = 1);
-    masses are re-balanced by local exchanges between nearest atoms. The
-    paper-free parts are labeled heuristic in the metadata.
+    masses are re-balanced by local exchanges between nearest atoms, a
+    pair's merge tried before its transfers. Candidates are scored by the
+    induced plan's transport cost, the cost to the cell masses (not the
+    exact LP to the atoms, which ``min_Fp_nu`` reports). The paper-free
+    parts are labeled heuristic in the metadata.
     """
     if not init.is_probability():
         raise NotProbability("initial atoms must form a probability")
@@ -529,11 +528,13 @@ def solve_bounded(
 
 
 def _exchange_candidates(atoms: AtomicMeasure):
-    """Mass transfers and the merge between each atom and its nearest one.
+    """The merge and the mass transfers between each atom and its nearest one.
 
-    Each distinct candidate is yielded once per scan: a mutual nearest pair
-    would otherwise yield its transfers (and, unless the masses are equal,
-    its merge) from both sides.
+    Each pair yields its merge first: first-improvement acceptance would
+    otherwise take a transfer out of an atom that owns no cell, shrinking it
+    by 1/4 per move without ever removing it. Each distinct candidate is
+    yielded once per scan: a mutual nearest pair would otherwise yield its
+    transfers (and, unless the masses are equal, its merge) from both sides.
     """
     if len(atoms) < 2:
         return
@@ -542,12 +543,11 @@ def _exchange_candidates(atoms: AtomicMeasure):
     seen = set()
     for i in range(len(atoms)):
         j = int(d[i].argmin())
-        moves = []
+        small, big = (i, j) if atoms.masses[i] <= atoms.masses[j] else (j, i)
+        moves = [(small, big, None)]
         for frac in (0.25, 0.0625):
             delta = frac * min(atoms.masses[i], atoms.masses[j])
             moves += [(i, j, delta), (j, i, delta)]
-        small, big = (i, j) if atoms.masses[i] <= atoms.masses[j] else (j, i)
-        moves.append((small, big, None))
         for src, dst, delta in moves:
             cand = _transfer(atoms, src, dst, delta)
             if cand is None:

@@ -111,6 +111,49 @@ class TestMuSubproblemMode:
         solve(cloud, nu, 2.0).dump_csv(tmp_path / "direct.csv")
         assert (out / "plan.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
+    def test_large_2d_run_dumps_its_exact_plan(self, tmp_path):
+        # 2-D, 32², 3 atoms at the mass-balance floor u_max * h^n: hundreds
+        # of support cells, whose transport is still priced by the exact LP
+        import numpy as np
+
+        from subcities import (
+            GridDensity,
+            normalize,
+            quadratic,
+            radius_of_mass,
+            to_point_cloud,
+        )
+
+        p, cells = 1.5, 32
+        points = np.array([[0.28, 0.5], [0.72, 0.5], [0.5, 0.8]])
+        masses = np.array([0.4, 0.35, 0.25])
+        radius = radius_of_mass(quadratic(), p, 2, 0.4)
+        floor = float(quadratic().k(np.array([radius**p]))[0]) / cells**2
+        atoms = [{"point": list(pt), "mass": m} for pt, m in zip(points.tolist(), masses)]
+        cfg = write_config(
+            tmp_path,
+            {
+                **BASE,
+                "n": 2,
+                "p": p,
+                "domain": [[0.0, 1.0], [0.0, 1.0]],
+                "grid": cells,
+                "atoms": atoms,
+                "tolerances": {"mass_balance": floor},
+            },
+        )
+        out = tmp_path / "run"
+        assert main(["mu-subproblem", "--config", str(cfg), "--out", str(out), "--dump-plans"]) == 0
+        objective = json.loads((out / "report.json").read_text())["result"]["objective"]
+        assert objective["transport_route"] == "lp"
+        cloud = to_point_cloud(normalize(GridDensity.from_csv(out / "density.csv")))
+        assert len(cloud) * len(cloud) * len(masses) > 400_000
+        rows = np.loadtxt(out / "plan.csv", delimiter=",", skiprows=1, ndmin=2)
+        i, j, mass = rows[:, 0].astype(int), rows[:, 1].astype(int), rows[:, 2]
+        assert np.abs(np.bincount(j, weights=mass, minlength=3) - masses).max() <= 1e-9
+        cost = np.linalg.norm(cloud.points[i] - points[j], axis=1) ** p
+        assert objective["transport"] == pytest.approx(float(mass @ cost), rel=1e-12)
+
     def test_nonconvergent_exit_code(self, tmp_path):
         # asymmetric atoms on a coarse grid cannot reach the default
         # mass-balance tolerance; the run must exit 2 with an error report

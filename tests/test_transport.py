@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from subcities import (
-    DegeneratePlan,
     EmptyCloud,
-    TransportPlan,
     UnbalancedMasses,
     WeightedPointCloud,
     c_transform,
-    recover_potentials,
     solve_discrete_transport,
     wasserstein,
 )
@@ -249,16 +246,14 @@ class TestPotentials:
         pts = np.array([[0.1], [0.5], [0.9]])
         cloud = WeightedPointCloud(pts, [0.2, 0.3, 0.5])
         plan = solve_discrete_transport(cloud, cloud, 2.0)
-        pots = recover_potentials(plan)
-        assert np.allclose(pots.psi, 0.0, atol=1e-12)
-        assert np.allclose(pots.psi_c, 0.0, atol=1e-12)
+        assert np.allclose(plan.dual_psi, 0.0, atol=1e-12)
+        assert np.allclose(plan.dual_psi_c, 0.0, atol=1e-12)
 
     def test_two_point_duality_value(self):
         src = WeightedPointCloud([[0.0], [1.0]], [0.5, 0.5])
         tgt = WeightedPointCloud([[0.5]], [1.0])
         plan = solve_discrete_transport(src, tgt, 1.0)
-        pots = recover_potentials(plan)
-        dual = src.weights @ pots.psi + tgt.weights @ pots.psi_c
+        dual = src.weights @ plan.dual_psi + tgt.weights @ plan.dual_psi_c
         assert dual == pytest.approx(0.5, abs=1e-12)
 
     def test_random_instances_certified(self):
@@ -267,65 +262,16 @@ class TestPotentials:
             src, tgt = random_instance(rng, 10, 10)
             p = float(rng.choice([1.0, 2.0]))
             plan = solve_discrete_transport(src, tgt, p)
-            pots = recover_potentials(plan)
+            psi, psi_c = plan.dual_psi, plan.dual_psi_c
             cost = np.linalg.norm(
                 src.points[:, None] - tgt.points[None, :], axis=2
             ) ** p
             # feasibility everywhere, tightness on the support
-            assert (pots.psi[:, None] + pots.psi_c[None, :] - cost).max() <= 1e-9
+            assert (psi[:, None] + psi_c[None, :] - cost).max() <= 1e-9
             for i, j, _ in plan.flows:
-                assert pots.psi[i] + pots.psi_c[j] == pytest.approx(cost[i, j], abs=1e-8)
-            dual = src.weights @ pots.psi + tgt.weights @ pots.psi_c
+                assert psi[i] + psi_c[j] == pytest.approx(cost[i, j], abs=1e-8)
+            dual = src.weights @ psi + tgt.weights @ psi_c
             assert abs(dual - plan.total_cost) <= 1e-8
-            assert pots.psi.min() == pytest.approx(0.0, abs=1e-12)
-
-    def test_disconnected_support_normalized_per_component(self):
-        # two far clusters; the optimal plan never crosses between them
-        src = WeightedPointCloud([[0.0], [0.1], [10.0], [10.1]], [0.3, 0.2, 0.25, 0.25])
-        tgt = WeightedPointCloud([[0.05], [10.05]], [0.5, 0.5])
-        plan = solve_discrete_transport(src, tgt, 2.0)
-        pots = recover_potentials(plan)
-        cost = np.abs(src.points - tgt.points.T) ** 2
-        assert (pots.psi[:, None] + pots.psi_c[None, :] - cost).max() <= 1e-9
-        assert pots.psi[:2].min() == pytest.approx(0.0, abs=1e-12)
-        assert pots.psi[2:].min() == pytest.approx(0.0, abs=1e-12)
-
-    def test_equal_weight_components_repaired(self):
-        # equal weights that divide the quantization denominator give a
-        # permutation plan, one support component per pair; per-component
-        # min-zero potentials then violate feasibility, so the offsets are
-        # re-solved across components
-        rng = np.random.default_rng(4)
-        repaired = 0
-        for n in (4, 8, 10, 16, 20):
-            for _ in range(4):
-                w = np.full(n, 1.0 / n)
-                src = WeightedPointCloud(rng.random((n, 1)), w)
-                tgt = WeightedPointCloud(rng.random((n, 1)), w)
-                plan = solve_discrete_transport(src, tgt, 2.0)
-                assert len(plan.flows) == n
-                cost = (src.points - tgt.points.T) ** 2
-                per_component = np.zeros(n)
-                per_component[plan.flow_j] = cost[plan.flow_i, plan.flow_j]
-                if (per_component[None, :] - cost).max() <= 1e-9:
-                    continue
-                repaired += 1
-                pots = recover_potentials(plan)
-                assert (pots.psi[:, None] + pots.psi_c[None, :] - cost).max() <= 1e-9
-                for i, j, _ in plan.flows:
-                    assert pots.psi[i] + pots.psi_c[j] == pytest.approx(cost[i, j], abs=1e-8)
-                dual = src.weights @ pots.psi + tgt.weights @ pots.psi_c
-                assert abs(dual - plan.total_cost) <= 1e-8
-                assert pots.psi.min() == pytest.approx(0.0, abs=1e-12)
-        assert repaired >= 15
-
-    def test_target_missed_by_flows_raises(self):
-        src = WeightedPointCloud([[0.0], [1.0]], [0.5, 0.5])
-        tgt = WeightedPointCloud([[0.2], [0.8]], [0.5, 0.5])
-        flows = np.array([0, 1]), np.array([0, 0]), np.array([0.5, 0.5])
-        plan = TransportPlan(src, tgt, *flows, 2.0, 0.34, 0.0, np.zeros(2), np.zeros(2))
-        with pytest.raises(DegeneratePlan):
-            recover_potentials(plan)
 
 
 def test_plan_csv_dump(tmp_path):

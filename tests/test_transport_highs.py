@@ -3,7 +3,8 @@
 Every weight is a multiple of 1/1000, so the solver's integer mass units
 represent both marginals exactly and both solvers solve the same LP. Shapes
 cover tall n x k clouds (the production shape), their transposes, square
-instances, and degenerate ties, each at p in {1, 1.5, 2}. Random points
+instances, and degenerate ties, each at p in {1, 1.5, 2}; the tall
+instances are also solved from target prices. Random points
 make the tall, wide and square instances tie-free, so their optimal plan is
 unique and the whole flow matrix is compared, not only the optimal value.
 """
@@ -52,10 +53,11 @@ def highs_solve(src, tgt, cost):
     return res.fun, res.x.reshape(n, m)
 
 
-def assert_matches_highs(src, tgt, p, unique=False):
+def assert_matches_highs(src, tgt, p, unique=False, prices=None):
     """Same optimal value as HiGHS; with ``unique`` (a tie-free instance,
-    whose optimal plan is unique) also the same plan."""
-    plan = solve_discrete_transport(src, tgt, p)
+    whose optimal plan is unique) also the same plan. ``prices`` warm-start
+    the solve."""
+    plan = solve_discrete_transport(src, tgt, p, prices)
     cost = cost_matrix(src, tgt, p)
     fun, x = highs_solve(src, tgt, cost)
     assert abs(plan.total_cost - fun) <= 1e-9 * (1.0 + abs(fun))
@@ -79,6 +81,37 @@ def tall_case(k, seed):
 def test_tall(k, p):
     src, tgt = tall_case(k, seed=100 + k)
     assert_matches_highs(src, tgt, p, unique=True)
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_tall_warm_started(k, p):
+    """Any target prices give the optimal plan: random ones, the cold
+    solve's own dual prices (power cells that hold the target weights) and
+    those prices perturbed, as a weight solve's residual leaves them."""
+    src, tgt = tall_case(k, seed=100 + k)
+    rng = np.random.default_rng(500 + k)
+    scale = cost_matrix(src, tgt, p).max()
+    cold = solve_discrete_transport(src, tgt, p)
+    for prices in (
+        rng.uniform(-scale, scale, k),
+        cold.dual_psi_c,
+        cold.dual_psi_c + rng.normal(scale=1e-3 * scale, size=k),
+    ):
+        assert_matches_highs(src, tgt, p, unique=True, prices=prices)
+    # no prices is the zero-price start, bit for bit
+    zero = solve_discrete_transport(src, tgt, p, np.zeros(k))
+    for name in ("flow_i", "flow_j", "flow_mass", "dual_psi", "dual_psi_c"):
+        assert np.array_equal(getattr(cold, name), getattr(zero, name))
+    assert cold.total_cost == zero.total_cost
+
+
+def test_wide_ignores_prices():
+    src, tgt = tall_case(3, seed=203)
+    cold = solve_discrete_transport(tgt, src, 2.0)
+    warm = solve_discrete_transport(tgt, src, 2.0, np.random.default_rng(0).random(len(src)))
+    for name in ("flow_i", "flow_j", "flow_mass", "dual_psi", "dual_psi_c"):
+        assert np.array_equal(getattr(cold, name), getattr(warm, name))
 
 
 @pytest.mark.parametrize("p", EXPONENTS)
