@@ -204,7 +204,7 @@ def _run_plan_rn(cfg: RunConfig, outdir: Path) -> dict:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         k_star, masses, value = solve_atomic_problem(
-            cfg.f, cfg.g, cfg.p, cfg.n, cfg.k_max, seed=cfg.seed, curve=curve
+            cfg.f, cfg.g, cfg.p, cfg.n, cfg.k_max, curve=curve
         )
     solution = assemble_rn_solution(
         masses, cfg.f, cfg.g, cfg.p, cfg.n, layout=cfg.layout
@@ -377,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--p", type=float, default=None, help="override cost exponent")
     parser.add_argument("--grid", type=int, default=None, help="override grid resolution per axis")
     parser.add_argument("--k-max", type=int, default=None, help="override the atom count cap")
-    parser.add_argument("--seed", type=int, default=None, help="override the random seed")
+    parser.add_argument("--seed", type=int, default=None, help="override the seed recorded in the report")
     parser.add_argument("--out", default=None, help="override the output directory")
     parser.add_argument("--dump-plans", action="store_true", help="dump transport plans as CSV triples")
     return parser

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import IncompatibleGrids, SearchSpaceTooLarge
 from .functionals import ConcentrationFamily, FunctionFamily
 from .measures import AtomicMeasure, Grid, GridDensity
-from .planner import PlanSolution, _simplex_projection
+from .planner import PlanSolution
 
 _MAX_CELLS = 64
 _MAX_SITES = 8
@@ -69,6 +69,20 @@ class BruteForceInstance:
         for k in range(1, len(self.candidate_sites) + 1):
             total += comb(len(self.candidate_sites), k) * _n_compositions(self.mass_units, k)
         return total
+
+
+def _simplex_projection(x: np.ndarray, total=1.0) -> np.ndarray:
+    """Euclidean projection of each row of x onto the simplex {y >= 0, sum y = total}.
+
+    x is a (rows, k) array; ``total`` may be a scalar or one value per row.
+    Every row gets exactly the arithmetic of projecting it alone.
+    """
+    u = np.sort(x, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - np.reshape(total, (-1, 1))
+    above = u - css / (np.arange(x.shape[1]) + 1) > 0
+    rho = x.shape[1] - 1 - np.argmax(above[:, ::-1], axis=1)  # last index above
+    theta = css[np.arange(len(x)), rho] / (rho + 1.0)
+    return np.maximum(x - theta[:, None], 0.0)
 
 
 def _project_columns(pi: np.ndarray, col_sums: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Global planning: how many service poles, their masses, and their layout.
 
 On all of R^n the problem collapses to choosing atom masses minimizing the
-summed per-atom energy; atoms are then placed as disjoint balls. On a
+summed per-atom energy; its first-order conditions leave one free mass per
+atom count, searched without random starts, and atoms are then placed as
+disjoint balls. On a
 bounded domain no closed structure is available, so an alternating
 heuristic is provided: exact density re-solves against barycenter/median
 position moves and local mass exchanges, accepting only improvements.
@@ -47,203 +49,83 @@ class PlanSolution:
     metadata: dict = field(default_factory=dict)
 
 
-def _simplex_projection(x: np.ndarray, total=1.0) -> np.ndarray:
-    """Euclidean projection of each row of x onto the simplex {y >= 0, sum y = total}.
+_SCAN = 32  # points of each atom count's split scan on (0, 1/j]
 
-    x is a (rows, k) array; ``total`` may be a scalar or one value per row.
-    Every row gets exactly the arithmetic of projecting it alone.
+
+def _split_slope(curve: EnergyCurve, a: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """phi_j'(a) = E'(a) - E'((1 - a)/(j - 1)), from one ``denergy`` call."""
+    d = curve.denergy(np.stack([a, (1.0 - a) / (j - 1)]))
+    return d[0] - d[1]
+
+
+def _refine_splits(curve: EnergyCurve, lo, hi, j, a: np.ndarray) -> np.ndarray:
+    """a, each entry whose [lo, hi] brackets a rise of phi_j' through 0 moved to that root.
+
+    Illinois false position: every step keeps the sign change, and an end
+    that stays put twice running has its slope halved, so both ends close
+    in superlinearly. A row stops once its bracket is narrower than 1e-14
+    of its upper end or its slope is exactly 0.
     """
-    u = np.sort(x, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - np.reshape(total, (-1, 1))
-    above = u - css / (np.arange(x.shape[1]) + 1) > 0
-    rho = x.shape[1] - 1 - np.argmax(above[:, ::-1], axis=1)  # last index above
-    theta = css[np.arange(len(x)), rho] / (rho + 1.0)
-    return np.maximum(x - theta[:, None], 0.0)
+    d = _split_slope(curve, np.stack([lo, hi]), j)
+    live = np.nonzero((d[0] < 0) & (d[1] > 0))[0]
+    lo, hi, dlo, dhi, j = lo[live], hi[live], d[0, live], d[1, live], j[live]
+    last = np.zeros(len(live))  # -1: the previous step moved lo, +1: hi
+    while len(live):
+        t = hi - dhi * (hi - lo) / (dhi - dlo)
+        t = np.where((lo < t) & (t < hi), t, 0.5 * (lo + hi))
+        dt = _split_slope(curve, t, j)
+        a[live] = t
+        below = dt < 0
+        moved = np.where(below, -1.0, 1.0)
+        stale = moved == last
+        dlo = np.where(below, dt, np.where(stale, 0.5 * dlo, dlo))
+        dhi = np.where(below, np.where(stale, 0.5 * dhi, dhi), dt)
+        lo, hi, last = np.where(below, t, lo), np.where(below, hi, t), moved
+        run = (dt != 0) & (hi - lo > 1e-14 * hi)
+        live, lo, hi, dlo, dhi, j, last = (v[run] for v in (live, lo, hi, dlo, dhi, j, last))
+    return a
 
 
-def _on_entries(fn, x: np.ndarray, real: np.ndarray) -> np.ndarray:
-    """fn of the entries of x flagged in ``real``, 0 elsewhere.
+def optimize_masses(curve: EnergyCurve, k: int):
+    """Best split of the unit mass into at most k atoms (zeros allowed on the simplex).
 
-    Padding never reaches fn: on the quadrature route every entry costs a
-    bisection of R(m).
+    A minimiser of sum E(m_i) has some j <= k positive atoms sharing one
+    marginal energy E', and at most one of them sits where E'' < 0. So when
+    E is concave on (0, m0) and convex beyond, it is one atom of mass
+    a <= 1/j plus j - 1 atoms of mass (1 - a)/(j - 1); the power catalogue
+    is always of that shape. For every j <= k at once, phi_j(a) = E(a) +
+    (j - 1) E((1 - a)/(j - 1)) is scanned on ``_SCAN`` points of (0, 1/j]
+    in one ``energy`` call, and the best bracket is refined to the root of
+    phi_j' (``_refine_splits``). The candidates are, for j = 1, ..., k, the
+    equal split and then the refined split; each is valued as the sum of
+    ``curve.energy`` over its masses sorted descending, and the first within
+    1e-12 (1 + |v|) of the best value v wins, so an exact equal split beats
+    a refinement that lands within rounding of it. For any other E this is
+    the best split with at most two distinct masses that the scan resolves.
+    Returns (k masses sorted descending, zeros last; their summed energy).
     """
-    out = np.zeros_like(x)
-    out[real] = fn(x[real])
-    return out
-
-
-def _row_energies(curve: EnergyCurve, x: np.ndarray, real=None) -> np.ndarray:
-    """The summed energy of the positive entries of every row of x.
-
-    Each row's value is bit for bit ``np.sum(curve.energy(row[row > 0]))``
-    (0 for a row with no positive entry). With ``real``, a row is only its
-    flagged entries; the rest is padding and never reaches the curve.
-    """
-    k = x.shape[1]
-    e = curve.energy(x) if real is None else _on_entries(curve.energy, x, real)
-    if k < 8:
-        # fewer than 8 terms are summed left to right, so zeros add nothing
-        return e.sum(axis=1)
-    # pairwise summation regroups once zeros sit between the positives, so
-    # each row's positives move to the front, in order, and rows are summed
-    # among those with as many positives
-    pos = x > 0 if real is None else (x > 0) & real
-    e = np.take_along_axis(e, np.argsort(~pos, axis=1, kind="stable"), axis=1)
-    count = pos.sum(axis=1)
-    sums = e[:, :7].sum(axis=1)
-    for c in np.unique(count[count >= 8]):
-        rows = np.nonzero(count == c)[0]
-        sums[rows] = e[rows, :c].sum(axis=1)
-    return sums
-
-
-_PAD = -1e200  # a padded entry before projection: sorts last and projects to 0
-
-
-def _projected_descent(
-    curve: EnergyCurve, x0: np.ndarray, iters: int = 200, width=None
-) -> np.ndarray:
-    """Projected gradient descent with backtracking from every row of x0 (starts, K).
-
-    Each start runs its own iterations (at most ``iters``) and line searches
-    (at most 30 halvings of its step), exactly as it would alone; the starts
-    advance in lock-step, one trial per live start per batched step, so the
-    number of steps is the longest start's trial count. With ``width``, row
-    i's start is its first width[i] entries: its padding enters each
-    projection as a large negative value, so it leaves the row's threshold
-    alone and ends at 0, and the curve never sees it.
-    """
-    n_rows, k = x0.shape
-    width = np.full(n_rows, k) if width is None else np.asarray(width)
-    real = np.arange(k) < width[:, None]
-    x = _simplex_projection(np.where(real, x0, _PAD))
-    val = _row_energies(curve, x, real)
-    step = np.full(n_rows, 0.1)
-    t = np.empty(n_rows)
-    grad = np.empty_like(x)
-    failed = np.zeros(n_rows, dtype=int)  # rejected trials in the current search
-    its = np.zeros(n_rows, dtype=int)
-    fresh = np.ones(n_rows, dtype=bool)  # starts a new iteration at this step
-    live = np.arange(n_rows)
-    while True:
-        new = live[fresh[live]]
-        if len(new):
-            live = live[~fresh[live] | (its[live] < iters)]
-            new = new[its[new] < iters]
-            grad[new] = _on_entries(curve.denergy, np.maximum(x[new], 1e-9), real[new])
-            t[new] = step[new]
-            failed[new] = 0
-            its[new] += 1
-            fresh[new] = False
-        if not len(live):
-            return x
-        x_try = _simplex_projection(
-            np.where(real[live], x[live] - t[live, None] * grad[live], _PAD)
-        )
-        v_try = _row_energies(curve, x_try, real[live])
-        ok = v_try < val[live] - 1e-15
-        acc, rej = live[ok], live[~ok]
-        x[acc], val[acc] = x_try[ok], v_try[ok]
-        step[acc] = np.minimum(t[acc] * 2.0, 1.0)
-        fresh[acc] = True
-        t[rej] *= 0.5
-        failed[rej] += 1
-        live = live[ok | (failed[live] < 30)]
-
-
-def _lattice_energies(curve: EnergyCurve, res: int = 200) -> np.ndarray:
-    """E at the masses 0, 1/res, ..., 1 (E(0) = 0)."""
-    table = np.asarray(curve.energy(np.arange(res + 1) / res), dtype=float)
-    table[0] = 0.0
-    return table
-
-
-def _grid_search(table: np.ndarray, k: int):
-    """Exhaustive search (k <= 3) on the mass lattice of ``_lattice_energies``.
-
-    Scans the sorted splits i >= res - i (k = 2) or i <= j <= res - i - j
-    (k = 3) in lexicographic order and keeps the first minimum.
-    """
-    res = len(table) - 1
-    if k == 1:
-        return np.array([1.0]), float(table[res])
-    if k == 2:
-        i = np.arange(res // 2, res + 1)
-        parts = (i, res - i)
-        v = table[i] + table[res - i]
-    else:
-        lat = np.arange(res + 1)
-        i, j = np.nonzero((lat >= lat[:, None]) & (2 * lat <= res - lat[:, None]))
-        parts = (i, j, res - i - j)
-        v = table[i] + table[j] + table[res - i - j]
-    best = int(np.argmin(v))
-    masses = np.array(sorted((int(a[best]) for a in parts), reverse=True), dtype=float) / res
-    return masses, float(v[best])
-
-
-_BATCH_ENTRIES = 2**20  # rows x columns of one padded descent batch
-
-
-def _descend_counts(curve: EnergyCurve, ks: list, seed: int, per: int) -> list:
-    """The descended starts of every count in ks, from one padded batch."""
-    starts = np.zeros((per * len(ks), max(ks)))
-    for b, k in enumerate(ks):
-        rng = np.random.default_rng(seed)
-        block = starts[b * per : (b + 1) * per, :k]
-        block[0] = 1.0 / k
-        for s in range(1, per):
-            block[s] = rng.dirichlet(np.ones(k))
-    ends = _projected_descent(curve, starts, width=np.repeat(ks, per))
-    return [ends[b * per : (b + 1) * per, :k] for b, k in enumerate(ks)]
-
-
-def _optimize_counts(curve: EnergyCurve, ks, seed: int = 0, n_starts: int = 20):
-    """``optimize_masses`` for every count in ks, descended in one batch.
-
-    Count k's 1 + n_starts starts (the equal split, then Dirichlet draws
-    from its own ``default_rng(seed)``) fill the first k columns of their
-    rows; the batch is as wide as the largest count, and every row descends
-    at its own width, so each count's result is the one it gets alone. Runs
-    of consecutive counts are split into several batches only where one
-    would exceed ``_BATCH_ENTRIES`` entries.
-    """
-    ks = list(ks)
-    for k in ks:
-        if not isinstance(k, (int, np.integer)) or k < 1:
-            raise InvalidK(f"k must be a positive integer, got {k!r}")
-    per = 1 + n_starts
-    ends, lo = [], 0
-    while lo < len(ks):
-        hi = lo + 1
-        while hi < len(ks) and per * (hi + 1 - lo) * max(ks[lo : hi + 1]) <= _BATCH_ENTRIES:
-            hi += 1
-        ends += _descend_counts(curve, ks[lo:hi], seed, per)
-        lo = hi
-    table = _lattice_energies(curve) if min(ks) <= 3 else None
-    results = []
-    for k, descended in zip(ks, ends):
-        # the equal split, the descended starts, then the lattice pick
-        rows = [np.full((1, k), 1.0 / k), descended]
-        if k <= 3:
-            rows.append(_grid_search(table, k)[0][None, :])
-        candidates = np.vstack(rows)
-        values = _row_energies(curve, candidates, candidates > 0)
-        best = 0
-        for c in range(1, len(values)):
-            if values[c] < values[best] - 1e-15:
-                best = c
-        results.append((np.sort(candidates[best])[::-1], float(values[best])))
-    return results
-
-
-def optimize_masses(curve: EnergyCurve, k: int, seed: int = 0, n_starts: int = 20):
-    """Best mass split found for exactly k atoms (zeros allowed on the simplex).
-
-    Combines the equal split, projected-gradient descent from the equal split
-    and from seeded random starts, and (for k <= 3) an exhaustive 1/200
-    lattice search. Returns (masses sorted descending, summed energy).
-    """
-    return _optimize_counts(curve, (k,), seed, n_starts)[0]
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise InvalidK(f"k must be a positive integer, got {k!r}")
+    candidates = [np.ones(1)]
+    if k > 1:
+        j = np.arange(2, k + 1)
+        a = np.arange(1, _SCAN + 1) / _SCAN / j[:, None]  # its last column is 1/j
+        e = curve.energy(np.stack([a, (1.0 - a) / (j[:, None] - 1)]))
+        best = np.argmin(e[0] + (j[:, None] - 1) * e[1], axis=1)
+        split = a[np.arange(k - 1), best]
+        # the last scan point is the equal split, a candidate of its own
+        inner = np.nonzero(best < _SCAN - 1)[0]
+        lo = a[inner, np.maximum(best[inner] - 1, 0)]
+        hi = a[inner, best[inner] + 1]
+        split[inner] = _refine_splits(curve, lo, hi, j[inner], split[inner])
+        for jj, aa in zip(j, split):
+            rest = np.full(jj - 1, (1.0 - aa) / (jj - 1))
+            candidates += [np.full(jj, 1.0 / jj), np.sort(np.append(rest, aa))[::-1]]
+    values = np.array([np.sum(curve.energy(m)) for m in candidates])
+    pick = int(np.argmax(values <= values.min() + 1e-12 * (1.0 + abs(values.min()))))
+    masses = np.zeros(k)
+    masses[: len(candidates[pick])] = candidates[pick]
+    return masses, float(values[pick])
 
 
 def solve_atomic_problem(
@@ -252,16 +134,15 @@ def solve_atomic_problem(
     p: float,
     n: int,
     k_max: int,
-    seed: int = 0,
     curve: EnergyCurve | None = None,
 ):
-    """Enumerate atom counts and mass splits minimizing the summed energy.
+    """The atom count and mass split minimizing the summed energy.
 
-    The enumeration is capped by 1 + floor(2/m0) when the concavity
-    threshold m0 is positive (merging sub-m0/2 atoms never helps); if the
-    atomization condition fails, a warning is issued and k_max is used as
-    the cap. Every count's mass split comes from one batched descent
-    (``_optimize_counts``). Ties between counts go to the smaller k.
+    The count is capped by 1 + floor(2/m0) when the concavity threshold m0
+    is positive (merging sub-m0/2 atoms never helps); if the atomization
+    condition fails, a warning is issued and k_max is used as the cap. One
+    ``optimize_masses`` call over that cap gives the split, and k* is its
+    number of positive masses: its tie rule already prefers fewer atoms.
     """
     if k_max < 1:
         raise InvalidK("k_max must be >= 1")
@@ -276,13 +157,9 @@ def solve_atomic_problem(
             ConditionNotSatisfied,
         )
     k_hi = min(k_max, 1 + int(np.floor(2.0 / m0))) if m0 > 0 else k_max
-    best = None
-    for k, (masses, value) in enumerate(_optimize_counts(curve, range(1, k_hi + 1), seed), 1):
-        if best is None or value < best[2] - 1e-12 * (1.0 + abs(best[2])):
-            best = (k, masses, value)
-    k_star, masses, value = best
-    masses = masses[masses > 1e-12]
-    return len(masses), masses, float(value)
+    masses, value = optimize_masses(curve, k_hi)
+    masses = masses[masses > 0]
+    return len(masses), masses, value
 
 
 def _ball_transport_cost(f: FunctionFamily, p: float, n: int, R: float) -> float:
