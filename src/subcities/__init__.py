@@ -14,6 +14,7 @@ from .errors import (
     AtomOutsideDomain,
     ConditionNotSatisfied,
     ConfigError,
+    DimensionMismatch,
     EmptyCloud,
     GridTooCoarse,
     IncompatibleGrids,

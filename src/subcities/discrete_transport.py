@@ -85,10 +85,7 @@ class TransportPlan:
 
     @property
     def flows(self) -> list[tuple[int, int, float]]:
-        return [
-            (int(i), int(j), float(m))
-            for i, j, m in zip(self.flow_i, self.flow_j, self.flow_mass)
-        ]
+        return list(zip(self.flow_i.tolist(), self.flow_j.tolist(), self.flow_mass.tolist()))
 
     def marginal_residuals(self) -> tuple[float, float]:
         rows = np.zeros(len(self.source))

@@ -61,6 +61,10 @@ class SearchSpaceTooLarge(SubcitiesError):
     """A brute-force instance exceeds its guard limits."""
 
 
+class DimensionMismatch(SubcitiesError):
+    """Points and a grid live in spaces of different dimension."""
+
+
 class IncompatibleGrids(SubcitiesError):
     """Two solutions live on different grids and cannot be compared."""
 

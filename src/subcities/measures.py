@@ -206,7 +206,7 @@ class GridDensity:
         scaled = np.zeros_like(img, dtype=int) if peak <= 0 else np.rint(img / peak * 255).astype(int)
         h, w = scaled.shape
         lines = ["P2", f"{w} {h}", "255"]
-        lines += [" ".join(str(v) for v in row) for row in scaled]
+        lines += [" ".join(map(str, row)) for row in scaled.tolist()]
         Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -3,18 +3,20 @@
 Candidate atomic measures are enumerated over site subsets and a quantized
 mass simplex; for each candidate, the best density is found as a smooth
 convex program over the transport-plan polytope (the spread penalty is a
-separable convex function of the plan's row sums). This module is a test
-fixture: every limit is guarded, nothing here is meant to scale.
+separable convex function of the plan's row sums), and the programs of all
+mass compositions of one site subset are solved together in one batch. This
+module is a test fixture: every limit is guarded, nothing here is meant to scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
-from .errors import IncompatibleGrids, SearchSpaceTooLarge
+from .errors import DimensionMismatch, IncompatibleGrids, SearchSpaceTooLarge
 from .functionals import ConcentrationFamily, FunctionFamily
 from .measures import AtomicMeasure, Grid, GridDensity
 from .planner import PlanSolution
@@ -22,6 +24,9 @@ from .planner import PlanSolution
 _MAX_CELLS = 64
 _MAX_SITES = 8
 _MAX_CONFIGURATIONS = 10**7
+# rows x cells x atoms per lock-step pass of the inner solve: a temporary stays
+# near 256 KiB however many mass compositions a site subset has
+_ROW_BUDGET = 2**15
 
 
 def _compositions(total: int, parts: int):
@@ -32,12 +37,6 @@ def _compositions(total: int, parts: int):
     for first in range(1, total - parts + 2):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def _n_compositions(total: int, parts: int) -> int:
-    from math import comb
-
-    return comb(total - 1, parts - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,6 +53,8 @@ class BruteForceInstance:
     def __post_init__(self):
         sites = np.atleast_2d(np.asarray(self.candidate_sites, dtype=float))
         object.__setattr__(self, "candidate_sites", sites)
+        if sites.ndim != 2 or sites.shape[1] != self.grid.domain.dim:
+            raise DimensionMismatch(f"sites of shape {sites.shape} on a {self.grid.domain.dim}-D grid")
         if self.grid.n_cells > _MAX_CELLS:
             raise SearchSpaceTooLarge(f"grid has {self.grid.n_cells} cells > {_MAX_CELLS}")
         if len(sites) > _MAX_SITES:
@@ -63,11 +64,9 @@ class BruteForceInstance:
 
     @property
     def configurations(self) -> int:
-        from math import comb
-
         total = 0
         for k in range(1, len(self.candidate_sites) + 1):
-            total += comb(len(self.candidate_sites), k) * _n_compositions(self.mass_units, k)
+            total += comb(len(self.candidate_sites), k) * comb(self.mass_units - 1, k - 1)
         return total
 
 
@@ -86,65 +85,94 @@ def _simplex_projection(x: np.ndarray, total=1.0) -> np.ndarray:
 
 
 def _project_columns(pi: np.ndarray, col_sums: np.ndarray) -> np.ndarray:
-    """Project each column onto its scaled simplex {x >= 0, sum x = a_j}."""
-    return np.ascontiguousarray(_simplex_projection(pi.T, col_sums).T)
+    """Project column j of plan b, pi (B, cells, atoms), onto {x >= 0, sum x = a_bj}."""
+    rows, n, k = pi.shape
+    cols = _simplex_projection(pi.transpose(0, 2, 1).reshape(-1, n), col_sums.ravel())
+    return np.ascontiguousarray(cols.reshape(rows, k, n).transpose(0, 2, 1))
 
 
-def best_density_for(
-    nu: AtomicMeasure, grid: Grid, f: FunctionFamily, p: float, max_iter: int = 1500
-):
+def best_density_for(nu, grid: Grid, f: FunctionFamily, p: float, max_iter: int = 1500):
     """Inner problem: minimize transport-plus-spread cost over the plan polytope.
 
-    Accelerated projected gradient with backtracking on the plan variables;
-    the column sums are pinned to the atom masses, the row sums define the
-    free density. Returns (value, cell values).
+    Accelerated projected gradient (FISTA with backtracking and restart,
+    Beck & Teboulle 2009) on the plan variables; the column sums are pinned
+    to the atom masses, the row sums define the free density. ``nu`` is one
+    ``AtomicMeasure``, giving (value, cell values), or a sequence of measures
+    with one atom count, giving an array of values and one row of cell values
+    per measure. A sequence is solved in lock-step passes of at most
+    ``_ROW_BUDGET`` rows x cells x atoms. Each row keeps its own step,
+    momentum, restart, best iterate and stop test and leaves its pass when
+    that test fires; its sums run over its own contiguous block and ``f``
+    sees raveled 1-D densities, so every row is bit for bit what it gives alone.
     """
+    measures = [nu] if isinstance(nu, AtomicMeasure) else list(nu)
     centers = grid.cell_centers()
-    vol = grid.cell_volume
-    cost = np.linalg.norm(centers[:, None, :] - nu.points[None, :, :], axis=2) ** p
-    a = nu.masses
-    n = len(centers)
-    pi = np.outer(np.full(n, 1.0 / n), a)
+    per_pass = max(1, _ROW_BUDGET // (len(centers) * len(measures[0])))
+    passes = []
+    for start in range(0, len(measures), per_pass):
+        part = measures[start : start + per_pass]
+        points = np.stack([m.points for m in part])
+        cost = np.linalg.norm(centers[None, :, None, :] - points[:, None, :, :], axis=3) ** p
+        a = np.stack([m.masses for m in part])
+        passes.append(_lock_step_fista(cost, a, grid.cell_volume, f, max_iter))
+    values, densities = (np.concatenate(out) for out in zip(*passes))
+    if isinstance(nu, AtomicMeasure):
+        return float(values[0]), densities[0]
+    return values, densities
 
-    def value(pi):
-        rho = pi.sum(axis=1)
-        return float((pi * cost).sum() + f.f(rho / vol).sum() * vol)
 
-    def grad(pi):
-        rho = pi.sum(axis=1)
-        return cost + f.f_prime(rho / vol)[:, None]
+def _lock_step_fista(cost, a, vol, f, max_iter):
+    """Values and densities of ``best_density_for`` for (B, cells, atoms) costs."""
+    rows, n, _ = cost.shape
 
-    step = vol * max(float(f.k_prime(np.array([1.0]))[0]), 1e-3)
-    y = pi.copy()
-    t_acc = 1.0
-    val = value(pi)
-    best_val, best_pi = val, pi.copy()
+    def value(pi, cost):
+        rho = pi.sum(axis=2) / vol
+        return (pi * cost).sum(axis=(1, 2)) + f.f(rho.ravel()).reshape(rho.shape).sum(axis=1) * vol
+
+    def trial(idx):
+        """Project a step from y for rows ``idx``; True where its Armijo test fails."""
+        y_t, gr_t, step_t = y[idx], gr[idx], step[idx]
+        c = _project_columns(y_t - step_t[:, None, None] * gr_t, a[idx])
+        diff = c - y_t
+        quad = v_y[idx] + (gr_t * diff).sum(axis=(1, 2)) + (diff * diff).sum(axis=(1, 2)) / (2 * step_t)
+        cand[idx], v_cand[idx] = c, value(c, cost[idx])
+        return ~((v_cand[idx] <= quad + 1e-14 * (1.0 + np.abs(v_cand[idx]))) | (step_t < 1e-14))
+
+    pi = np.full(n, 1.0 / n)[None, :, None] * a[:, None, :]
+    step = np.full(rows, vol * max(float(f.k_prime(np.array([1.0]))[0]), 1e-3))
+    y, t_acc = pi.copy(), np.ones(rows)
+    val = value(pi, cost)
+    best_val, best_pi = val.copy(), pi.copy()
+    live = np.arange(rows)  # input row of each row still iterating
+    out_val, out_u = np.empty(rows), np.empty((rows, n))
     for _ in range(max_iter):
-        gr = grad(y)
-        v_y = value(y)
+        rho = y.sum(axis=2) / vol
+        gr = cost + f.f_prime(rho.ravel()).reshape(rho.shape)[:, :, None]
+        v_y = value(y, cost)
         step *= 1.3
-        while True:
-            cand = _project_columns(y - step * gr, a)
-            diff = cand - y
-            quad = v_y + float((gr * diff).sum()) + float((diff * diff).sum()) / (2 * step)
-            v_cand = value(cand)
-            if v_cand <= quad + 1e-14 * (1.0 + abs(v_cand)) or step < 1e-14:
-                break
-            step *= 0.5
+        cand, v_cand = np.empty_like(y), np.empty(len(y))
+        todo = np.flatnonzero(trial(slice(None)))
+        while todo.size:
+            step[todo] *= 0.5
+            todo = todo[trial(todo)]
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        y = cand + ((t_acc - 1.0) / t_next) * (cand - pi)
-        if v_cand > val:  # restart acceleration on non-monotone step
-            y = cand.copy()
-            t_next = 1.0
+        y = cand + ((t_acc - 1.0) / t_next)[:, None, None] * (cand - pi)
+        restart = v_cand > val  # restart acceleration on non-monotone step
+        y[restart], t_next[restart] = cand[restart], 1.0
         pi, t_acc = cand, t_next
-        new_val = v_cand
-        if new_val < best_val:
-            best_val, best_pi = new_val, pi.copy()
-        if abs(val - new_val) <= 1e-14 * (1.0 + abs(new_val)):
-            break
-        val = new_val
-    rho = best_pi.sum(axis=1)
-    return best_val, rho / vol
+        better = v_cand < best_val
+        best_val[better], best_pi[better] = v_cand[better], pi[better]
+        done = np.abs(val - v_cand) <= 1e-14 * (1.0 + np.abs(v_cand))
+        val = v_cand
+        if done.any():
+            out_val[live[done]], out_u[live[done]] = best_val[done], best_pi[done].sum(axis=2) / vol
+            live, pi, y, cost, a, step, t_acc, val, best_val, best_pi = (
+                x[~done] for x in (live, pi, y, cost, a, step, t_acc, val, best_val, best_pi)
+            )
+            if not live.size:
+                break
+    out_val[live], out_u[live] = best_val, best_pi.sum(axis=2) / vol
+    return out_val, out_u
 
 
 def brute_force_full(instance: BruteForceInstance):
@@ -160,11 +188,11 @@ def brute_force_full(instance: BruteForceInstance):
     for k in range(1, len(sites) + 1):
         for subset in combinations(range(len(sites)), k):
             pts = sites[list(subset)]
-            for comp in _compositions(units, k):
-                masses = np.array(comp, dtype=float) / units
-                nu = AtomicMeasure(pts, masses)
-                inner_val, u = best_density_for(nu, instance.grid, instance.f, instance.p)
-                total = inner_val + float(instance.g.g(masses).sum())
+            comps = list(_compositions(units, k))
+            measures = [AtomicMeasure(pts, np.array(c, dtype=float) / units) for c in comps]
+            values, densities = best_density_for(measures, instance.grid, instance.f, instance.p)
+            for comp, nu, inner_val, u in zip(comps, measures, values, densities):
+                total = float(inner_val) + float(instance.g.g(nu.masses).sum())
                 key = (total, k, subset, comp)
                 if best is None or key < best[0]:
                     best = (key, nu, u)

@@ -162,6 +162,22 @@ class TestSerialization:
         assert lines[2] == "255"
         assert lines[3].split() == ["0", "128", "255"]
 
+    @pytest.mark.parametrize(
+        "values",
+        [np.zeros((3, 5)), np.random.default_rng(7).random((6, 9)), np.arange(7.0)],
+        ids=["all-zero", "2-D", "1-D"],
+    )
+    def test_pgm_bytes_match_per_element_formatting(self, tmp_path, values):
+        d = make_grid_density(Domain.box([(0, 1)] * values.ndim), values.shape, values)
+        path = tmp_path / "density.pgm"
+        d.to_pgm(path)
+        img = d.values if values.ndim == 2 else d.values[None, :]
+        peak = img.max()
+        scaled = np.zeros_like(img, dtype=int) if peak <= 0 else np.rint(img / peak * 255).astype(int)
+        lines = ["P2", f"{scaled.shape[1]} {scaled.shape[0]}", "255"]
+        lines += [" ".join(str(v) for v in row) for row in scaled]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
 
 def test_grid_cell_centers_row_major():
     g = Grid(Domain.box([(0, 1), (0, 2)]), (2, 2))

@@ -1,3 +1,7 @@
+import json
+from functools import lru_cache
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,9 @@ from subcities import (
     AtomicMeasure,
     BruteForceInstance,
     ConcentrationFamily,
+    DimensionMismatch,
     Domain,
+    FunctionFamily,
     Grid,
     IncompatibleGrids,
     SearchSpaceTooLarge,
@@ -17,7 +23,9 @@ from subcities import (
     quadratic,
     subcity_energy,
 )
-from subcities.oracle import best_density_for
+from subcities import oracle
+from subcities.cli import main
+from subcities.oracle import _compositions, _simplex_projection, best_density_for
 from subcities.planner import PlanSolution
 
 
@@ -116,6 +124,196 @@ class TestBruteForce:
             values.append(brute_force_full(inst)[2])
         assert values[0] <= values[1] + 1e-9
         assert values[1] <= values[2] + 1e-9
+
+
+def _one_at_a_time(nu, grid, f, p, max_iter=1500):
+    """The inner solve for one measure, as a scalar loop: the batch's reference."""
+    centers = grid.cell_centers()
+    vol = grid.cell_volume
+    cost = np.linalg.norm(centers[:, None, :] - nu.points[None, :, :], axis=2) ** p
+    a = nu.masses
+    n = len(centers)
+    pi = np.outer(np.full(n, 1.0 / n), a)
+
+    def value(pi):
+        rho = pi.sum(axis=1)
+        return float((pi * cost).sum() + f.f(rho / vol).sum() * vol)
+
+    def grad(pi):
+        rho = pi.sum(axis=1)
+        return cost + f.f_prime(rho / vol)[:, None]
+
+    step = vol * max(float(f.k_prime(np.array([1.0]))[0]), 1e-3)
+    y = pi.copy()
+    t_acc = 1.0
+    val = value(pi)
+    best_val, best_pi = val, pi.copy()
+    for _ in range(max_iter):
+        gr = grad(y)
+        v_y = value(y)
+        step *= 1.3
+        while True:
+            cand = np.ascontiguousarray(_simplex_projection((y - step * gr).T, a).T)
+            diff = cand - y
+            quad = v_y + float((gr * diff).sum()) + float((diff * diff).sum()) / (2 * step)
+            v_cand = value(cand)
+            if v_cand <= quad + 1e-14 * (1.0 + abs(v_cand)) or step < 1e-14:
+                break
+            step *= 0.5
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
+        y = cand + ((t_acc - 1.0) / t_next) * (cand - pi)
+        if v_cand > val:
+            y = cand.copy()
+            t_next = 1.0
+        pi, t_acc = cand, t_next
+        if v_cand < best_val:
+            best_val, best_pi = v_cand, pi.copy()
+        if abs(val - v_cand) <= 1e-14 * (1.0 + abs(v_cand)):
+            break
+        val = v_cand
+    return best_val, best_pi.sum(axis=1) / vol
+
+
+def _cubic_f():
+    # f(s) = s^2/2 + s^3/10; its evaluators insist on the 1-D arrays the
+    # batch promises to pass
+    def one_d(fn):
+        def wrapped(s):
+            if np.ndim(s) != 1:
+                raise AssertionError(f"evaluator got shape {np.shape(s)}")
+            return fn(s)
+
+        return wrapped
+
+    return FunctionFamily(
+        kind="custom",
+        f_impl=one_d(lambda s: s * s / 2 + s**3 / 10),
+        f_prime_impl=one_d(lambda s: s + 0.3 * s * s),
+        k_impl=lambda t: (np.sqrt(1.0 + 1.2 * t) - 1.0) / 0.6,
+    )
+
+
+def _unit_grid(cells):
+    return Grid(Domain.box([(0.0, 1.0)]), (cells,))
+
+
+# (f, g, sites, cells, mass units): the validate benchmark instance,
+# acceptance criterion 9's five cases and a custom spread family
+ORACLE_CASES = {
+    "validate-1d-24": (quadratic, (0.25, 0.5), [[0.3], [0.7]], 24, 20),
+    "c9-one-site": (quadratic, (0.3, 0.5), [[0.5]], 32, 20),
+    "c9-two-sites": (quadratic, (0.08, 0.5), [[0.25], [0.75]], 32, 20),
+    "c9-three-sites": (quadratic, (0.3, 0.5), [[0.25], [0.5], [0.75]], 32, 20),
+    "c9-power-f": (lambda: power_f(0.6, 2.0), (0.25, 0.5), [[0.3], [0.7]], 32, 20),
+    "c9-three-sites-r06": (quadratic, (0.12, 0.6), [[0.2], [0.5], [0.8]], 32, 20),
+    "custom-f": (_cubic_f, (0.2, 0.5), [[0.3], [0.7]], 16, 10),
+}
+
+
+def _instance(name):
+    make_f, (b, r), sites, cells, units = ORACLE_CASES[name]
+    return BruteForceInstance(
+        grid=_unit_grid(cells), candidate_sites=np.array(sites), f=make_f(),
+        g=power_g(b, r), p=2.0, mass_units=units,
+    )
+
+
+@lru_cache(maxsize=None)
+def _replayed(name):
+    """Every (subset, comp) inner solve one at a time, and the loop's winner."""
+    inst = _instance(name)
+    sites, units = inst.candidate_sites, inst.mass_units
+    rows, best = {}, None
+    for k in range(1, len(sites) + 1):
+        for subset in combinations(range(len(sites)), k):
+            for comp in _compositions(units, k):
+                nu = AtomicMeasure(sites[list(subset)], np.array(comp, dtype=float) / units)
+                rows[subset, comp] = inner_val, u = _one_at_a_time(nu, inst.grid, inst.f, inst.p)
+                key = (inner_val + float(inst.g.g(nu.masses).sum()), k, subset, comp)
+                if best is None or key < best[0]:
+                    best = (key, nu, u)
+    return rows, best
+
+
+def _assert_batches_match_replay(name):
+    inst = _instance(name)
+    rows, _ = _replayed(name)
+    for subset in {s for s, _ in rows}:
+        comps = [c for s, c in rows if s == subset]
+        measures = [
+            AtomicMeasure(inst.candidate_sites[list(subset)], np.array(c, dtype=float) / inst.mass_units)
+            for c in comps
+        ]
+        values, densities = best_density_for(measures, inst.grid, inst.f, inst.p)
+        assert values.shape == (len(comps),)
+        assert densities.shape == (len(comps), inst.grid.n_cells)
+        for comp, value, u in zip(comps, values, densities):
+            ref_value, ref_u = rows[subset, comp]
+            assert value == ref_value
+            assert u.tobytes() == ref_u.tobytes()
+
+
+class TestBatchedInnerSolve:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_rows_bit_identical_to_one_at_a_time(self, name):
+        _assert_batches_match_replay(name)
+
+    @pytest.mark.parametrize("name", ["validate-1d-24", "c9-three-sites", "custom-f"])
+    def test_rows_bit_identical_when_split(self, name, monkeypatch):
+        # a budget of a few rows per pass splits every subset with more
+        # than three compositions into several lock-step passes
+        cells, k = ORACLE_CASES[name][3], len(ORACLE_CASES[name][2])
+        monkeypatch.setattr(oracle, "_ROW_BUDGET", 3 * cells * k)
+        _assert_batches_match_replay(name)
+
+    def test_single_measure_is_a_batch_of_one(self):
+        inst = _instance("custom-f")
+        nu = AtomicMeasure([[0.3], [0.7]], [0.3, 0.7])
+        value, u = best_density_for(nu, inst.grid, inst.f, inst.p)
+        ref_value, ref_u = _one_at_a_time(nu, inst.grid, inst.f, inst.p)
+        assert isinstance(value, float) and value == ref_value
+        assert u.tobytes() == ref_u.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_brute_force_winner_matches_replay(self, name):
+        inst = _instance(name)
+        (total, k, subset, comp), ref_nu, ref_u = _replayed(name)[1]
+        mu, nu, value = brute_force_full(inst)
+        assert value == total
+        assert len(nu) == k
+        assert nu.points.tobytes() == inst.candidate_sites[list(subset)].tobytes()
+        assert nu.masses.tobytes() == (np.array(comp, dtype=float) / inst.mass_units).tobytes()
+        assert nu.masses.tobytes() == ref_nu.masses.tobytes()
+        assert mu.values.tobytes() == ref_u.tobytes()
+
+
+class TestSiteDimension:
+    @pytest.mark.parametrize(
+        "sites", [[[0.3, 0.9], [0.7, 0.1]], [0.3, 0.7]], ids=["2-D sites", "flat list"]
+    )
+    def test_sites_must_match_grid_dimension(self, sites):
+        with pytest.raises(DimensionMismatch):
+            BruteForceInstance(
+                grid=_unit_grid(8), candidate_sites=np.array(sites), f=quadratic(),
+                g=power_g(0.3, 0.5), p=2.0, mass_units=4,
+            )
+
+    @pytest.mark.parametrize(
+        "sites", [[[0.3, 0.9], [0.7, 0.1]], [0.3, 0.7]], ids=["2-D sites", "flat list"]
+    )
+    def test_cli_reports_solver_error(self, tmp_path, capsys, sites):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "f": {"kind": "quadratic"},
+            "g": {"kind": "power", "b": 0.3, "r": 0.5},
+            "p": 2.0,
+            "n": 1,
+            "domain": [[0.0, 1.0]],
+            "rounds": 1,
+            "validate": {"grid": 8, "sites": sites, "mass_units": 4},
+        }))
+        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "solver error" in capsys.readouterr().err
 
 
 def _plan(mu, nu):

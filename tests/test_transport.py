@@ -283,3 +283,21 @@ def test_plan_csv_dump(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "i,j,mass"
     assert len(lines) == 3
+
+
+def test_flows_and_csv_match_per_element_formatting(tmp_path):
+    # each flow is (int, int, float) and each CSV line repr's the float,
+    # exactly as formatting the numpy elements one by one does
+    rng = np.random.default_rng(3)
+    src, tgt = random_instance(rng, 60, 4)
+    plan = solve_discrete_transport(src, tgt, 2.0)
+    expected = [
+        (int(i), int(j), float(m))
+        for i, j, m in zip(plan.flow_i, plan.flow_j, plan.flow_mass)
+    ]
+    assert plan.flows == expected
+    assert all(type(v) is t for row in plan.flows for v, t in zip(row, (int, int, float)))
+    path = tmp_path / "plan.csv"
+    plan.dump_csv(path)
+    lines = ["i,j,mass"] + [f"{i},{j},{m!r}" for i, j, m in expected]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
