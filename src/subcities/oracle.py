@@ -27,6 +27,7 @@ _MAX_CONFIGURATIONS = 10**7
 # rows x cells x atoms per lock-step pass of the inner solve: a temporary stays
 # near 256 KiB however many mass compositions a site subset has
 _ROW_BUDGET = 2**15
+_MAX_ITER = 1500  # FISTA iterations per inner solve
 
 
 def _compositions(total: int, parts: int):
@@ -91,7 +92,7 @@ def _project_columns(pi: np.ndarray, col_sums: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(cols.reshape(rows, k, n).transpose(0, 2, 1))
 
 
-def best_density_for(nu, grid: Grid, f: FunctionFamily, p: float, max_iter: int = 1500):
+def best_density_for(nu, grid: Grid, f: FunctionFamily, p: float):
     """Inner problem: minimize transport-plus-spread cost over the plan polytope.
 
     Accelerated projected gradient (FISTA with backtracking and restart,
@@ -114,14 +115,14 @@ def best_density_for(nu, grid: Grid, f: FunctionFamily, p: float, max_iter: int 
         points = np.stack([m.points for m in part])
         cost = np.linalg.norm(centers[None, :, None, :] - points[:, None, :, :], axis=3) ** p
         a = np.stack([m.masses for m in part])
-        passes.append(_lock_step_fista(cost, a, grid.cell_volume, f, max_iter))
+        passes.append(_lock_step_fista(cost, a, grid.cell_volume, f))
     values, densities = (np.concatenate(out) for out in zip(*passes))
     if isinstance(nu, AtomicMeasure):
         return float(values[0]), densities[0]
     return values, densities
 
 
-def _lock_step_fista(cost, a, vol, f, max_iter):
+def _lock_step_fista(cost, a, vol, f):
     """Values and densities of ``best_density_for`` for (B, cells, atoms) costs."""
     rows, n, _ = cost.shape
 
@@ -145,7 +146,7 @@ def _lock_step_fista(cost, a, vol, f, max_iter):
     best_val, best_pi = val.copy(), pi.copy()
     live = np.arange(rows)  # input row of each row still iterating
     out_val, out_u = np.empty(rows), np.empty((rows, n))
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         rho = y.sum(axis=2) / vol
         gr = cost + f.f_prime(rho.ravel()).reshape(rho.shape)[:, :, None]
         v_y = value(y, cost)
@@ -212,18 +213,18 @@ class CompareReport:
     max_mass_difference: float
     unmatched_atoms: int
     passed: bool
-    tolerances: dict
 
 
 def compare_solutions(
     a: PlanSolution,
     b: PlanSolution,
     objective_tol: float = 1e-6,
-    density_tol: float = np.inf,
-    atom_distance_tol: float = np.inf,
-    mass_tol: float = np.inf,
 ) -> CompareReport:
-    """Gap report between two solutions; atoms paired greedily by distance."""
+    """Gap report between two solutions; atoms paired greedily by distance.
+
+    It passes when the objective gap is within ``objective_tol`` and every
+    atom is paired.
+    """
     ga, gb = a.mu.grid, b.mu.grid
     if ga.resolution != gb.resolution or ga.domain.bounds != gb.domain.bounds:
         raise IncompatibleGrids("solutions live on different grids")
@@ -245,19 +246,7 @@ def compare_solutions(
         free_a.remove(i)
         free_b.remove(j)
     unmatched = len(free_a) + len(free_b)
-    tol = {
-        "objective": objective_tol,
-        "density_l1": density_tol,
-        "atom_distance": atom_distance_tol,
-        "mass": mass_tol,
-    }
-    passed = (
-        objective_gap <= objective_tol
-        and density_gap <= density_tol
-        and max_d <= atom_distance_tol
-        and max_dm <= mass_tol
-        and unmatched == 0
-    )
+    passed = objective_gap <= objective_tol and unmatched == 0
     return CompareReport(
         objective_gap=objective_gap,
         density_l1_gap=density_gap,
@@ -266,5 +255,4 @@ def compare_solutions(
         max_mass_difference=max_dm,
         unmatched_atoms=unmatched,
         passed=passed,
-        tolerances=tol,
     )

@@ -209,7 +209,7 @@ def assemble_rn_solution(
     if abs(masses.sum() - 1.0) > 1e-8:
         raise NotProbability("masses must sum to 1")
     k = len(masses)
-    radii = np.array([radius_of_mass(f, p, n, m) for m in masses])
+    radii = radius_of_mass(f, p, n, masses)
     r_bar = radius_of_mass(f, p, n, 1.0)
     spacing = 2.0 * r_bar * _DISJOINT_GAP
     pts = _layout_points(k, n, spacing, layout, origin)

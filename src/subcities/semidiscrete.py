@@ -132,41 +132,31 @@ def kprime_radial_integral(f: FunctionFamily, p: float, n: int, R: float) -> flo
     return nwn * _generic_radial(lambda r: f.k_prime(R**p - r**p), n, R)
 
 
-def radius_of_mass(f: FunctionFamily, p: float, n: int, m: float) -> float:
-    """Invert the mass-radius relation by bisection on the monotone integral.
+def radius_of_mass(f: FunctionFamily, p: float, n: int, m):
+    """R(m): radius of the ball profile of mass m, for one mass or an array.
 
-    Results are memoised per (f, p, n, m) for the power catalogue; a custom
-    family's evaluators may be unhashable or stateful, so it is never cached.
+    The power catalogue's profile mass is m(1) R^e with e = n + p alpha, so
+    R = (m / m(1))^(1/e) in closed form, one numpy expression whether m is
+    a scalar or an array. A custom family bisects each entry on its
+    quadrature mass (``_invert_mass``). Every entry must lie in (0, 1].
     """
-    if m <= 0.0:
+    marr = np.atleast_1d(np.asarray(m, dtype=float))
+    if np.any(marr <= 0.0):
         raise NonpositiveMass("radius_of_mass needs m > 0")
-    if m > 1.0 + 1e-12:
-        raise MassOutOfRange("radius_of_mass is restricted to masses <= 1")
+    if not np.all(marr <= 1.0 + 1e-12):
+        raise MassOutOfRange("radius_of_mass is restricted to finite masses <= 1")
     if f.is_power_shaped:
-        return _radius_of_mass(f, float(p), int(n), float(m))
-    return _invert_mass(f, p, n, m)
-
-
-def _mass_evaluator(f: FunctionFamily, p: float, n: int):
-    """R -> ``mass_of_radius(f, p, n, R)`` for R > 0, bit for bit.
-
-    For the power catalogue the factors that do not depend on R are
-    evaluated once, and the products keep mass_of_radius's order.
-    """
-    if not f.is_power_shaped:
-        return lambda R: mass_of_radius(f, p, n, R)
-    coef = f.kappa * (n * unit_ball_volume(n))
-    e = n + p * f.alpha
-    J = _scaled_power_integral(float(f.alpha), float(n), float(p))
-    return lambda R: coef * (R**e * J)
+        R = (marr / mass_of_radius(f, p, n, 1.0)) ** (1.0 / (n + p * f.alpha))
+    else:
+        R = np.array([_invert_mass(f, p, n, v) for v in marr.ravel().tolist()])
+    return float(R.flat[0]) if np.ndim(m) == 0 else R.reshape(marr.shape)
 
 
 def _invert_mass(f: FunctionFamily, p: float, n: int, m: float) -> float:
-    mass = _mass_evaluator(f, p, n)
-    # quadratic-f closed form seeds the bracket for every family
+    """R(m) by bisection on ``mass_of_radius``, seeded by the quadratic closed form."""
     hi = (m * (n + p) / (unit_ball_volume(n) * p)) ** (1.0 / (n + p))
     for _ in range(200):
-        if mass(hi) >= m:
+        if mass_of_radius(f, p, n, hi) >= m:
             break
         hi *= 2.0
     else:
@@ -174,7 +164,7 @@ def _invert_mass(f: FunctionFamily, p: float, n: int, m: float) -> float:
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        val = mass(mid)
+        val = mass_of_radius(f, p, n, mid)
         if abs(val - m) <= 1e-13:
             return mid
         if val < m:
@@ -184,9 +174,6 @@ def _invert_mass(f: FunctionFamily, p: float, n: int, m: float) -> float:
         if hi - lo <= 1e-17 * max(1.0, hi):
             break
     return 0.5 * (lo + hi)
-
-
-_radius_of_mass = lru_cache(maxsize=4096)(_invert_mass)
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,8 +448,7 @@ def _solve_weights_best(
     if ws is None:
         ws = _Workspace(atoms, f, p, grid)
     targets = atoms.masses
-    radii = np.array([radius_of_mass(f, p, grid.domain.dim, m) for m in targets])
-    c = radii**p
+    c = radius_of_mass(f, p, grid.domain.dim, targets) ** p
     s, winner, u, cm = ws.stats(c)
     # grant every starving atom its cheapest winnable cell; atoms may steal
     # from each other, so iterate and give up only if that cycles

@@ -41,40 +41,72 @@ def _profile_cost(f: FunctionFamily, p: float, n: int, R: float) -> float:
     return nwn * _generic_radial(lambda r: f.f(kk(r)) + kk(r) * r**p, n, R)
 
 
-def _check_mass(m: float, allow_zero: bool) -> None:
-    if m < 0.0 or m > 1.0 + 1e-12 or (m == 0.0 and not allow_zero):
-        raise MassOutOfRange(f"subcity mass {m} outside the admissible range")
+def _on_masses(f: FunctionFamily, m, allow_zero: bool, closed, quadrature):
+    """One of E, E', E'' at a mass or an array of masses, every entry checked.
+
+    The power catalogue evaluates ``closed`` on the whole array (a scalar m
+    as a 1-entry array, so it gets the same bits as that entry of an array);
+    a custom family evaluates ``quadrature`` at each entry, as a float.
+    """
+    marr = np.atleast_1d(np.asarray(m, dtype=float))
+    ok = (marr >= 0.0 if allow_zero else marr > 0.0) & (marr <= 1.0 + 1e-12)
+    if not ok.all():
+        raise MassOutOfRange(f"subcity mass {marr[~ok][0]} outside the admissible range")
+    if f.is_power_shaped:
+        out = closed(marr)
+    else:
+        out = np.array([quadrature(v) for v in marr.ravel().tolist()]).reshape(marr.shape)
+    return float(out.flat[0]) if np.ndim(m) == 0 else out
 
 
-def subcity_energy(f: FunctionFamily, g: ConcentrationFamily, p: float, n: int, m: float) -> float:
-    """E(m): total objective contribution of one atom of mass m."""
-    _check_mass(m, allow_zero=True)
-    if m == 0.0:
-        return 0.0
-    return float(g.g(m)) + _profile_cost(f, p, n, radius_of_mass(f, p, n, m))
+def subcity_energy(f: FunctionFamily, g: ConcentrationFamily, p: float, n: int, m):
+    """E(m): total objective contribution of one atom, for a mass in [0, 1] or an array.
+
+    For the power catalogue the profile cost is K(1) R^(e+p) with
+    R = (m / m(1))^(1/e), e = n + p alpha, so E = g(m) + K(1) (m / m(1))^((e+p)/e).
+    """
+
+    def closed(x):
+        e = n + p * f.alpha
+        grow = (x / mass_of_radius(f, p, n, 1.0)) ** ((e + p) / e)
+        return np.where(x > 0, g.g(np.maximum(x, 1e-300)) + _profile_cost(f, p, n, 1.0) * grow, 0.0)
+
+    quadrature = lambda v: (
+        float(g.g(v)) + _profile_cost(f, p, n, radius_of_mass(f, p, n, v)) if v > 0 else 0.0
+    )
+    return _on_masses(f, m, True, closed, quadrature)
 
 
-def subcity_energy_dm(f: FunctionFamily, g: ConcentrationFamily, p: float, n: int, m: float) -> float:
-    """E'(m) = g'(m) + R(m)^p."""
-    _check_mass(m, allow_zero=False)
-    return float(g.g_prime(m)) + radius_of_mass(f, p, n, m) ** p
+def subcity_energy_dm(f: FunctionFamily, g: ConcentrationFamily, p: float, n: int, m):
+    """E'(m) = g'(m) + R(m)^p, for a mass in (0, 1] or an array."""
+    de = lambda x: g.g_prime(x) + radius_of_mass(f, p, n, x) ** p
+    return _on_masses(f, m, False, de, de)
 
 
-def subcity_energy_d2m(f: FunctionFamily, g: ConcentrationFamily, p: float, n: int, m: float) -> float:
-    """E''(m) = g''(m) + 1 / int_0^R(m) k'(R^p - r^p) n w_n r^(n-1) dr."""
-    _check_mass(m, allow_zero=False)
-    R = radius_of_mass(f, p, n, m)
-    return float(g.g_second(m)) + 1.0 / kprime_radial_integral(f, p, n, R)
+def subcity_energy_d2m(f: FunctionFamily, g: ConcentrationFamily, p: float, n: int, m):
+    """E''(m) = g''(m) + 1 / int_0^R(m) k'(R^p - r^p) n w_n r^(n-1) dr.
+
+    For a mass in (0, 1] or an array. For the power catalogue the integral
+    is its value at R = 1 times R^(n + p (alpha - 1)).
+    """
+    closed = lambda x: g.g_second(x) + 1.0 / (
+        kprime_radial_integral(f, p, n, 1.0)
+        * radius_of_mass(f, p, n, x) ** (n + p * (f.alpha - 1.0))
+    )
+    quadrature = lambda v: float(g.g_second(v)) + 1.0 / kprime_radial_integral(
+        f, p, n, radius_of_mass(f, p, n, v)
+    )
+    return _on_masses(f, m, False, closed, quadrature)
 
 
 @dataclass(frozen=True, eq=False)
 class EnergyCurve:
-    """Cached samples of E and its derivatives on a log-spaced mass grid.
+    """E, E' and E'' sampled on a log-spaced mass grid, and E, E' at any mass.
 
-    For the power catalogue the profile cost collapses to a single power of
-    the radius, so the curve carries closed-form (coefficient, exponent)
-    evaluators, validated against the quadrature route on the sample grid;
-    custom families fall back to per-call quadrature.
+    ``energy`` and ``denergy`` are ``subcity_energy`` and
+    ``subcity_energy_dm`` for the curve's families (closed form for the
+    power catalogue, per-mass quadrature for a custom family), and the
+    samples are those functions on the grid.
     """
 
     f: FunctionFamily
@@ -85,7 +117,6 @@ class EnergyCurve:
     energies: np.ndarray
     denergies: np.ndarray
     d2energies: np.ndarray
-    power_law: tuple[float, float, float] | None = None  # (mass_coef, K(1), R-exponent)
 
     @classmethod
     def build(
@@ -98,52 +129,18 @@ class EnergyCurve:
         m_min: float = 1e-3,
     ) -> "EnergyCurve":
         masses = np.logspace(np.log10(m_min), 0.0, n_samples)
-        energies = np.array([subcity_energy(f, g, p, n, m) for m in masses])
-        denergies = np.array([subcity_energy_dm(f, g, p, n, m) for m in masses])
-        d2energies = np.array([subcity_energy_d2m(f, g, p, n, m) for m in masses])
-        power_law = None
-        if f.is_power_shaped:
-            mass_coef = mass_of_radius(f, p, n, 1.0)  # m(R) = mass_coef * R^e
-            e = n + p * f.alpha
-            fast = g.g(masses) + _profile_cost(f, p, n, 1.0) * (masses / mass_coef) ** (
-                (e + p) / e
-            )
-            if np.allclose(fast, energies, rtol=1e-9, atol=1e-12):
-                power_law = (mass_coef, _profile_cost(f, p, n, 1.0), e)
-        return cls(f, g, p, n, masses, energies, denergies, d2energies, power_law)
+        return cls(
+            f, g, p, n, masses,
+            subcity_energy(f, g, p, n, masses),
+            subcity_energy_dm(f, g, p, n, masses),
+            subcity_energy_d2m(f, g, p, n, masses),
+        )
 
     def energy(self, m) -> float | np.ndarray:
-        scalar = np.isscalar(m)
-        if self.power_law is not None:
-            mass_coef, k1, e = self.power_law
-            marr = np.asarray(m, dtype=float)
-            out = np.where(
-                marr > 0,
-                self.g.g(np.maximum(marr, 1e-300))
-                + k1 * (np.maximum(marr, 0.0) / mass_coef) ** ((e + self.p) / e),
-                0.0,
-            )
-            return float(out) if scalar else out
-        if scalar:
-            return subcity_energy(self.f, self.g, self.p, self.n, float(m))
-        return self._per_mass(subcity_energy, m)
+        return subcity_energy(self.f, self.g, self.p, self.n, m)
 
     def denergy(self, m) -> float | np.ndarray:
-        scalar = np.isscalar(m)
-        if self.power_law is not None:
-            mass_coef, _, e = self.power_law
-            marr = np.asarray(m, dtype=float)
-            out = self.g.g_prime(marr) + ((marr / mass_coef) ** (1.0 / e)) ** self.p
-            return float(out) if scalar else out
-        if scalar:
-            return subcity_energy_dm(self.f, self.g, self.p, self.n, float(m))
-        return self._per_mass(subcity_energy_dm, m)
-
-    def _per_mass(self, fn, m) -> np.ndarray:
-        """fn evaluated at every entry of an array of masses, keeping its shape."""
-        marr = np.asarray(m, dtype=float)
-        vals = [fn(self.f, self.g, self.p, self.n, float(v)) for v in marr.ravel()]
-        return np.array(vals, dtype=float).reshape(marr.shape)
+        return subcity_energy_dm(self.f, self.g, self.p, self.n, m)
 
 
 @dataclass(frozen=True, eq=False)

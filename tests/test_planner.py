@@ -157,7 +157,7 @@ def _custom_quadratic_curve():
         k_prime_impl=lambda t: np.ones_like(t),
     )
     curve = EnergyCurve.build(f, G_WEAK, 2.0, 1, n_samples=16)
-    assert curve.power_law is None
+    assert not curve.f.is_power_shaped
     return curve
 
 
@@ -176,7 +176,7 @@ class TestLockStepDescent:
     def test_optimize_masses_power_law(self, k, n_starts, shape):
         q, r, p, n = shape
         curve = EnergyCurve.build(power_f(1.0, q), power_g(0.3, r), p, n)
-        assert curve.power_law is not None
+        assert curve.f.is_power_shaped
         masses, value = optimize_masses(curve, k)
         _, ref_value = _descent_heuristic(curve, k, 11 * k + n_starts, n_starts)
         assert _within_tie(value, ref_value)

@@ -99,20 +99,19 @@ def _invert_by_mass_of_radius(f, p, n, m):
 
 
 class TestInvertMass:
-    """The hoisted power-catalogue evaluator bisects exactly like mass_of_radius."""
+    """R(m) inverts m(R): closed form for the power catalogue, bisection for a custom family."""
 
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_power_catalogue(self, q, p, n):
-        from subcities.semidiscrete import _invert_mass, _mass_evaluator
-
+        # R = (m / m(1))^(1/e) carries the rounding of 1/e times |ln m| <= 21
+        # and m(R) = m(1) R^e; 11 ulps is the largest round-trip error seen
         f = power_f(0.8, q)
-        mass = _mass_evaluator(f, p, n)
-        for R in np.geomspace(1e-5, 10.0, 200).tolist():
-            assert mass(R) == mass_of_radius(f, p, n, R)
-        for m in np.geomspace(1e-6, 1.0, 24).tolist():
-            assert _invert_mass(f, p, n, m) == _invert_by_mass_of_radius(f, p, n, m)
+        masses = np.geomspace(1e-9, 1.0, 60)
+        radii = radius_of_mass(f, p, n, masses).tolist()
+        back = np.array([mass_of_radius(f, p, n, R) for R in radii])
+        assert np.all(np.abs(back - masses) <= 16 * np.spacing(masses))
 
     def test_custom_family(self):
         from subcities import FunctionFamily

@@ -9,6 +9,7 @@ from subcities import (
     FunctionFamily,
     Grid,
     MassOutOfRange,
+    NonpositiveMass,
     check_atomization_condition,
     density_from_weights,
     eval_F,
@@ -153,15 +154,18 @@ class TestEnergyCurveBuild:
             assert curve.denergies[i] == subcity_energy_dm(f, g, p, n, m)
             assert curve.d2energies[i] == subcity_energy_d2m(f, g, p, n, m)
 
-    def test_memoised_radius_matches_a_cold_inversion(self):
-        from subcities.semidiscrete import _radius_of_mass
-
-        f = power_f(1.3, 3.0)
-        warm = [radius_of_mass(f, 1.5, 2, m) for m in (0.01, np.float64(0.3), 1.0)]
-        _radius_of_mass.cache_clear()
-        cold = [radius_of_mass(f, 1.5, 2, m) for m in (0.01, 0.3, np.float64(1.0))]
-        assert warm == cold
-        assert _radius_of_mass.cache_info().currsize == 3
+    @pytest.mark.parametrize(
+        "f,g,p,n",
+        [(quadratic(), SQRT_G, 2.0, 2), (power_f(1.3, 3.0), power_g(1.1, 0.6), 1.5, 1)],
+    )
+    def test_curve_delegates_off_the_sample_grid(self, f, g, p, n):
+        curve = EnergyCurve.build(f, g, p, n, n_samples=8)
+        masses = np.linspace(0.0, 1.0, 41)
+        assert np.array_equal(curve.energy(masses), subcity_energy(f, g, p, n, masses))
+        assert np.array_equal(curve.denergy(masses[1:]), subcity_energy_dm(f, g, p, n, masses[1:]))
+        for m in masses[1:].tolist():
+            assert curve.energy(m) == subcity_energy(f, g, p, n, m)
+            assert curve.denergy(m) == subcity_energy_dm(f, g, p, n, m)
 
     def test_custom_family_radius_follows_its_evaluators(self):
         # a custom k may be unhashable or change between calls: never cached
@@ -246,3 +250,93 @@ class TestSubadditivity:
         signs = np.sign(curve.d2energies)
         changes = int((np.diff(signs) != 0).sum())
         assert changes <= 1
+
+
+def _custom_quadratic():
+    """The quadratic f as a custom family: R(m) by bisection, profiles by quadrature."""
+    return FunctionFamily(
+        kind="custom",
+        f_impl=lambda s: 0.5 * s * s,
+        f_prime_impl=lambda s: s,
+        k_impl=lambda t: t,
+        k_prime_impl=lambda t: np.ones_like(t),
+    )
+
+
+def _radius(f, g, p, n, m):
+    return radius_of_mass(f, p, n, m)
+
+
+class TestOneMassRadiusLaw:
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_closed_form_matches_the_quadrature_route(self, p, n):
+        # both routes share g, so the profile parts are compared: R, E - g,
+        # E' - g' = R^p and E'' - g'' (E'' itself crosses 0 near m = 0.4).
+        # The quadrature route's mass is off by up to 1e-10 relative: its
+        # bisection stops at a mass error of 1e-13 (1e-10 of m = 1e-3), and at
+        # p = 1.5, n = 1 it is 1.0e-10 low at every radius (its panels do not
+        # grade toward the r^1.5 kink at r = 0). E - g ~ m^((e+p)/e) carries
+        # either as up to 1.6e-10.
+        g, custom = power_g(0.7, 0.4), _custom_quadratic()
+        parts = [
+            _radius,
+            lambda f, g, p, n, m: subcity_energy(f, g, p, n, m) - float(g.g(m)),
+            lambda f, g, p, n, m: subcity_energy_dm(f, g, p, n, m) - float(g.g_prime(m)),
+            lambda f, g, p, n, m: subcity_energy_d2m(f, g, p, n, m) - float(g.g_second(m)),
+        ]
+        for m in (1e-3, 0.05, 0.4, 1.0):
+            for part in parts:
+                want = part(quadratic(), g, p, n, m)
+                assert part(custom, g, p, n, m) == pytest.approx(want, rel=2e-10)
+
+    @pytest.mark.parametrize(
+        "f,g,p,n",
+        [
+            (quadratic(), SQRT_G, 2.0, 2),
+            (power_f(1.3, 3.0), power_g(1.1, 0.6), 1.5, 1),
+            (power_f(0.8, 1.5), power_g(0.3, 0.7), 1.0, 3),
+        ],
+    )
+    def test_scalar_calls_equal_array_entries(self, f, g, p, n):
+        masses = np.geomspace(1e-6, 1.0, 97)
+        for fn in (_radius, subcity_energy, subcity_energy_dm, subcity_energy_d2m):
+            batch = fn(f, g, p, n, masses)
+            assert np.array_equal(fn(f, g, p, n, masses.reshape(-1, 1))[:, 0], batch)
+            for m, want in zip(masses.tolist(), batch.tolist()):
+                got = fn(f, g, p, n, m)
+                assert type(got) is float and got == want
+
+
+class TestMassRange:
+    """Every entry is checked: E on [0, 1], E', E'' and R on (0, 1], NaN nowhere."""
+
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, 1.5, np.inf])
+    def test_energy_and_derivatives_reject(self, bad):
+        curve = EnergyCurve.build(quadratic(), SQRT_G, 2.0, 1, n_samples=8)
+        for m in (bad, np.array([0.5, bad]), np.array([[bad], [0.2]])):
+            with pytest.raises(MassOutOfRange):
+                curve.energy(m)
+            with pytest.raises(MassOutOfRange):
+                curve.denergy(m)
+            with pytest.raises(MassOutOfRange):
+                subcity_energy_d2m(quadratic(), SQRT_G, 2.0, 1, m)
+
+    def test_zero_mass_has_energy_but_no_slope(self):
+        curve = EnergyCurve.build(quadratic(), SQRT_G, 2.0, 1, n_samples=8)
+        assert curve.energy(0.0) == 0.0
+        assert curve.energy(np.array([0.0, 0.5]))[0] == 0.0
+        for m in (0.0, np.array([0.5, 0.0])):
+            with pytest.raises(MassOutOfRange):
+                curve.denergy(m)
+            with pytest.raises(MassOutOfRange):
+                subcity_energy_d2m(quadratic(), SQRT_G, 2.0, 1, m)
+
+    @pytest.mark.parametrize("f", [quadratic(), _custom_quadratic()])
+    def test_radius_rejects(self, f):
+        for m in (0.0, -0.1, np.array([0.5, 0.0])):
+            with pytest.raises(NonpositiveMass):
+                radius_of_mass(f, 2.0, 1, m)
+        for m in (np.nan, 1.5, np.inf, np.array([0.5, np.nan])):
+            with pytest.raises(MassOutOfRange):
+                radius_of_mass(f, 2.0, 1, m)
