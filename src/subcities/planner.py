@@ -7,6 +7,7 @@ disjoint balls. On a
 bounded domain no closed structure is available, so an alternating
 heuristic is provided: exact density re-solves against barycenter/median
 position moves and local mass exchanges, accepting only improvements.
+Both value fixed atoms as ``min_Fp_nu`` does (``semidiscrete._evaluate``).
 """
 
 from __future__ import annotations
@@ -17,17 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditionNotSatisfied, InvalidK, NotProbability, SubcitiesError
-from .functionals import ConcentrationFamily, FunctionFamily, eval_F, eval_G
+from .functionals import ConcentrationFamily, FunctionFamily, eval_G
 from .measures import AtomicMeasure, Domain, Grid, GridDensity
 from .semidiscrete import (
     SubcityProfile,
-    _density,
+    _evaluate,
     _generic_radial,
-    _induced_cost,
     _solve_weights_best,
-    _transport_term,
     _Workspace,
-    density_from_weights,
     radial_power_integral,
     radius_of_mass,
     unit_ball_volume,
@@ -226,18 +224,15 @@ def assemble_rn_solution(
         resolution = (int(resolution),) * n
     grid = Grid(domain, tuple(resolution))
     atoms = AtomicMeasure(pts, masses)
-    weights = radii**p
-    density = density_from_weights(atoms, weights, f, p, grid)
+    density, terms, _ = _evaluate(_Workspace(atoms, f, p, grid), radii**p)
     transport_closed = float(sum(_ball_transport_cost(f, p, n, R) for R in radii))
-    f_term = eval_F(f, density)
     g_term = eval_G(g, atoms)
-    oracle_cost, _ = _transport_term(atoms, density, p, weights)
     objective = {
         "transport": transport_closed,
-        "F": f_term,
+        "F": terms["F"],
         "G": g_term,
-        "total": transport_closed + f_term + g_term,
-        "transport_oracle": oracle_cost,
+        "total": transport_closed + terms["F"] + g_term,
+        "transport_oracle": terms["transport"],
     }
     profiles = [
         SubcityProfile(center=tuple(pt), mass=float(m), radius=float(R), weight=float(R**p))
@@ -280,7 +275,7 @@ def solve_bounded(
     init: AtomicMeasure,
     rounds: int = 12,
     resolution=64,
-    tol: float | None = None,
+    tol: float = 1e-7,
     max_iter: int = 500,
 ) -> PlanSolution:
     """Alternating heuristic for a bounded domain.
@@ -290,35 +285,30 @@ def solve_bounded(
     sequence is monotone nonincreasing. Position moves use the transport
     barycenter of each atom's cell (median per coordinate when p = 1);
     masses are re-balanced by local exchanges between nearest atoms, a
-    pair's merge tried before its transfers. Candidates are scored by the
-    induced plan's transport cost, the cost to the cell masses (not the
-    exact LP to the atoms, which ``min_Fp_nu`` reports). The paper-free
-    parts are labeled heuristic in the metadata.
+    pair's merge tried before its transfers. Candidates are scored by
+    ``min_Fp_nu``'s evaluation (F and the exact LP to the atoms) plus G,
+    from best-effort weight solves. The paper-free parts are labeled
+    heuristic in the metadata.
     """
     if not init.is_probability():
         raise NotProbability("initial atoms must form a probability")
     if np.isscalar(resolution):
         resolution = (int(resolution),) * omega.dim
     grid = Grid(omega, tuple(resolution))
-    base_tol = tol if tol is not None else 1e-7
 
     def evaluate(atoms: AtomicMeasure):
         ws = _Workspace(atoms, f, p, grid)
-        c, residual = _solve_weights_best(atoms, f, p, grid, base_tol, max_iter, ws=ws)
-        t_term = _induced_cost(ws, c)
-        density = _density(ws, c)
-        f_term = eval_F(f, density)
-        g_term = eval_G(g, atoms)
+        c, _ = _solve_weights_best(atoms, f, p, grid, tol, max_iter, ws=ws)
+        density, terms, _ = _evaluate(ws, c)
+        terms["G"] = eval_G(g, atoms)
+        terms["total"] += terms["G"]
         return {
             "atoms": atoms,
             "ws": ws,
             "c": c,
-            "residual": residual,
             "density": density,
-            "transport": t_term,
-            "F": f_term,
-            "G": g_term,
-            "total": t_term + f_term + g_term,
+            "terms": terms,
+            "total": terms["total"],
         }
 
     def try_evaluate(atoms: AtomicMeasure):
@@ -371,18 +361,13 @@ def solve_bounded(
         )
         for i, pt in enumerate(state["atoms"].points)
     ]
-    objective = {
-        "transport": state["transport"],
-        "F": state["F"],
-        "G": state["G"],
-        "total": state["total"],
-    }
+    objective = {key: state["terms"][key] for key in ("transport", "F", "G", "total")}
     metadata = {
         "mode": "bounded-alternation",
         "heuristic": True,
         "rounds_used": len(history) - 1,
         "objective_history": history,
-        "mass_residual": state["residual"],
+        "mass_residual": state["terms"]["mass_residual"],
         "radius_bound": r_bar,
         "clipped": bool(
             np.any(

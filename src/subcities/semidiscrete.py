@@ -311,13 +311,14 @@ def density_from_weights(
 ) -> GridDensity:
     """Materialize u(x) = k(max_i(c_i - |x - x_i|^p) v 0) at the cell centers."""
     weights = c.c if isinstance(c, DualWeights) else np.asarray(c, dtype=float)
-    return _density(_Workspace(atoms, f, p, grid), weights)
-
-
-def _density(ws: _Workspace, weights: np.ndarray) -> GridDensity:
+    ws = _Workspace(atoms, f, p, grid)
     s, _, u, _ = ws.stats(weights)
-    values = np.where(s > 0, u, 0.0).reshape(ws.grid.resolution)
-    return GridDensity(ws.grid, values)
+    return _density(ws, s, u)
+
+
+def _density(ws: _Workspace, s: np.ndarray, u: np.ndarray) -> GridDensity:
+    """The density on ``ws``'s grid from one ``stats`` call's scores and values."""
+    return GridDensity(ws.grid, np.where(s > 0, u, 0.0).reshape(ws.grid.resolution))
 
 
 def cell_masses(
@@ -549,29 +550,12 @@ def _line_search(ws: _Workspace, c: np.ndarray, step: np.ndarray, phi: float, sl
     return None
 
 
-def induced_transport_cost(
-    atoms: AtomicMeasure, c, f: FunctionFamily, p: float, grid: Grid
-) -> float:
-    """Transport cost of the plan sending each supported cell to its own atom.
-
-    At solved weights this plan is optimal for the discretized pair: the pair
-    (-(max score v 0), c) is dual-feasible with equality on the support.
-    """
-    weights = c.c if isinstance(c, DualWeights) else np.asarray(c, dtype=float)
-    return _induced_cost(_Workspace(atoms, f, p, grid), weights)
-
-
-def _induced_cost(ws: _Workspace, weights: np.ndarray) -> float:
-    s, winner, u, _ = ws.stats(weights)
-    active = s > 0
-    return float((u * ws.vol * ws.dist_p[ws._idx, winner])[active].sum())
-
-
 def _transport_term(
     nu: AtomicMeasure, density: GridDensity, p: float, prices
 ) -> tuple[float, discrete_transport.TransportPlan]:
     """Exact transport cost from ``density`` to ``nu`` and the LP's plan.
 
+    The cost is to the atoms, not to the cell masses the weights give.
     ``prices`` (one per atom, such as the dual weights of the weight solve)
     warm-start the LP: each cell starts on its power-cell winner, so the
     solve moves only what the weights leave unbalanced.
@@ -602,17 +586,26 @@ def min_Fp_nu(
 def _min_Fp_nu(nu, f, p, grid, tol, max_iter):
     """``min_Fp_nu`` plus the transport plan it solved."""
     weights, ws = _solve_weights(nu, f, p, grid, tol, max_iter)
-    density = _density(ws, weights.c)
-    f_term = eval_F(f, density)
-    transport, plan = _transport_term(nu, density, p, weights.c)
-    s = (weights.c[None, :] - ws.dist_p).max(axis=1)
-    dual = ws.dual_value(weights.c, s)
+    density, breakdown, plan = _evaluate(ws, weights.c)
+    breakdown["transport_route"] = "lp"  # constant; perfbench/workloads.check_mu reads it
+    return density, breakdown, plan
+
+
+def _evaluate(ws: _Workspace, c: np.ndarray):
+    """The fixed-atom value of weights ``c``: (density, breakdown, plan).
+
+    One ``stats`` call gives the density, the dual's scores and the cell
+    masses; the transport term is the warm-started exact LP to ``ws.atoms``.
+    """
+    s, _, u, cm = ws.stats(c)
+    density = _density(ws, s, u)
+    f_term = eval_F(ws.f, density)
+    transport, plan = _transport_term(ws.atoms, density, ws.p, c)
     breakdown = {
         "transport": transport,
         "F": f_term,
         "total": transport + f_term,
-        "dual_objective": dual,
-        "mass_residual": weights.residual,
-        "transport_route": "lp",  # constant; perfbench/workloads.check_mu reads it
+        "dual_objective": ws.dual_value(c, s),
+        "mass_residual": float(np.abs(cm - ws.atoms.masses).max()),
     }
     return density, breakdown, plan

@@ -8,8 +8,14 @@ from subcities import (
     ConditionNotSatisfied,
     Domain,
     EnergyCurve,
+    Grid,
     InvalidK,
+    WeightedPointCloud,
     assemble_rn_solution,
+    density_from_weights,
+    eval_F,
+    min_Fp_nu,
+    normalize,
     optimize_masses,
     power_f,
     power_g,
@@ -17,8 +23,11 @@ from subcities import (
     radius_of_mass,
     solve_atomic_problem,
     solve_bounded,
+    solve_discrete_transport,
+    solve_weights,
     subadditivity_threshold,
     subcity_energy,
+    to_point_cloud,
 )
 from subcities.oracle import _simplex_projection
 
@@ -573,6 +582,56 @@ class TestSolveBounded:
         assert len(sol.nu) == 1
         e1 = subcity_energy(F, power_g(1.0, 0.5), 2.0, 1, 1.0)
         assert sol.objective["total"] == pytest.approx(e1, rel=1e-3)
+
+
+class TestOneEvaluation:
+    """min_Fp_nu, solve_bounded and assemble_rn_solution value atoms alike."""
+
+    @pytest.mark.parametrize(
+        "bounds, points, resolution",
+        [
+            ([(0.0, 1.0)], [[0.3], [0.5], [0.7]], 32),
+            ([(0.0, 1.0)] * 2, [[0.3, 0.5], [0.7, 0.5], [0.5, 0.2]], 16),
+        ],
+    )
+    def test_bounded_transport_is_the_exact_lp_to_the_atoms(self, bounds, points, resolution):
+        # weight solves that stop far above tol, where the cost to the cell
+        # masses is 2.9 % (1-D) and 0.3 % (2-D) off the cost to the atoms
+        init = AtomicMeasure(points, [0.4, 0.35, 0.25])
+        sol = solve_bounded(
+            Domain.box(bounds), F, power_g(0.4, 0.5), 2.0, init, rounds=0, resolution=resolution
+        )
+        assert sol.metadata["mass_residual"] > 1e-3
+        nu = WeightedPointCloud(sol.nu.points, sol.nu.masses)
+        cold = solve_discrete_transport(to_point_cloud(normalize(sol.mu)), nu, 2.0)
+        assert sol.objective["transport"] == pytest.approx(cold.total_cost, rel=1e-12)
+
+    def test_bounded_and_min_Fp_nu_agree_bit_for_bit(self):
+        omega = Domain.box([(0.0, 1.0)])
+        grid = Grid(omega, (64,))
+        nu = AtomicMeasure([[0.3], [0.7]], [0.5, 0.5])
+        weights = solve_weights(nu, F, 2.0, grid)
+        _, breakdown = min_Fp_nu(nu, F, 2.0, grid)
+        sol = solve_bounded(omega, F, G_WEAK, 2.0, nu, rounds=0, resolution=64)
+        assert weights.residual <= 1e-7
+        assert breakdown["mass_residual"] == weights.residual
+        assert sol.metadata["mass_residual"] == weights.residual
+        assert sol.objective["transport"] == breakdown["transport"]
+        assert sol.objective["F"] == breakdown["F"]
+
+    def test_assembly_oracle_and_F_unchanged(self):
+        masses = np.array([0.7, 0.3])
+        sol = assemble_rn_solution(masses, F, G_WEAK, 2.0, 1)
+        # reference: the density, its F and the LP warm-started from R^p
+        weights = radius_of_mass(F, 2.0, 1, masses) ** 2.0
+        grid = Grid(sol.mu.domain, sol.mu.resolution)
+        density = density_from_weights(sol.nu, weights, F, 2.0, grid)
+        nu = WeightedPointCloud(sol.nu.points, sol.nu.masses)
+        plan = solve_discrete_transport(to_point_cloud(normalize(density)), nu, 2.0, weights)
+        assert sol.objective["F"] == eval_F(F, density)
+        assert sol.objective["transport_oracle"] == plan.total_cost
+        assert sol.objective["F"] == pytest.approx(0.22661233697521882, rel=1e-12)
+        assert sol.objective["transport_oracle"] == pytest.approx(0.11332267484642719, rel=1e-12)
 
 
 class TestMergeProperty:
