@@ -56,6 +56,8 @@ class BruteForceInstance:
         object.__setattr__(self, "candidate_sites", sites)
         if sites.ndim != 2 or sites.shape[1] != self.grid.domain.dim:
             raise DimensionMismatch(f"sites of shape {sites.shape} on a {self.grid.domain.dim}-D grid")
+        if len(np.unique(sites, axis=0)) != len(sites):
+            raise ValueError("candidate sites must be pairwise distinct")
         if self.grid.n_cells > _MAX_CELLS:
             raise SearchSpaceTooLarge(f"grid has {self.grid.n_cells} cells > {_MAX_CELLS}")
         if len(sites) > _MAX_SITES:
@@ -92,7 +94,7 @@ def _project_columns(pi: np.ndarray, col_sums: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(cols.reshape(rows, k, n).transpose(0, 2, 1))
 
 
-def best_density_for(nu, grid: Grid, f: FunctionFamily, p: float):
+def best_density_for(nu, grid: Grid, f: FunctionFamily, p: float, masses=None):
     """Inner problem: minimize transport-plus-spread cost over the plan polytope.
 
     Accelerated projected gradient (FISTA with backtracking and restart,
@@ -100,22 +102,29 @@ def best_density_for(nu, grid: Grid, f: FunctionFamily, p: float):
     to the atom masses, the row sums define the free density. ``nu`` is one
     ``AtomicMeasure``, giving (value, cell values), or a sequence of measures
     with one atom count, giving an array of values and one row of cell values
-    per measure. A sequence is solved in lock-step passes of at most
-    ``_ROW_BUDGET`` rows x cells x atoms. Each row keeps its own step,
-    momentum, restart, best iterate and stop test and leaves its pass when
-    that test fires; its sums run over its own contiguous block and ``f``
-    sees raveled 1-D densities, so every row is bit for bit what it gives alone.
+    per measure. With ``masses``, a (measures, atoms) array, ``nu`` is the
+    (atoms, dim) array of points they share, and each row is solved as the
+    measure of those points and that row's masses. The measures are solved
+    in lock-step passes of at most ``_ROW_BUDGET`` rows x cells x atoms.
+    Each row keeps its own step, momentum, restart, best iterate and stop
+    test and leaves its pass when that test fires; its sums run over its
+    own contiguous block and ``f`` sees raveled 1-D densities, so every row
+    is bit for bit what it gives alone.
     """
-    measures = [nu] if isinstance(nu, AtomicMeasure) else list(nu)
+    if masses is not None:
+        points = np.broadcast_to(np.asarray(nu, dtype=float), (len(masses),) + np.shape(nu))
+        masses = np.asarray(masses, dtype=float)
+    else:
+        measures = [nu] if isinstance(nu, AtomicMeasure) else list(nu)
+        points = np.stack([m.points for m in measures])
+        masses = np.stack([m.masses for m in measures])
     centers = grid.cell_centers()
-    per_pass = max(1, _ROW_BUDGET // (len(centers) * len(measures[0])))
+    per_pass = max(1, _ROW_BUDGET // (len(centers) * masses.shape[1]))
     passes = []
-    for start in range(0, len(measures), per_pass):
-        part = measures[start : start + per_pass]
-        points = np.stack([m.points for m in part])
-        cost = np.linalg.norm(centers[None, :, None, :] - points[:, None, :, :], axis=3) ** p
-        a = np.stack([m.masses for m in part])
-        passes.append(_lock_step_fista(cost, a, grid.cell_volume, f))
+    for start in range(0, len(masses), per_pass):
+        part = points[start : start + per_pass]
+        cost = np.linalg.norm(centers[None, :, None, :] - part[:, None, :, :], axis=3) ** p
+        passes.append(_lock_step_fista(cost, masses[start : start + per_pass], grid.cell_volume, f))
     values, densities = (np.concatenate(out) for out in zip(*passes))
     if isinstance(nu, AtomicMeasure):
         return float(values[0]), densities[0]
@@ -190,16 +199,16 @@ def brute_force_full(instance: BruteForceInstance):
         for subset in combinations(range(len(sites)), k):
             pts = sites[list(subset)]
             comps = list(_compositions(units, k))
-            measures = [AtomicMeasure(pts, np.array(c, dtype=float) / units) for c in comps]
-            values, densities = best_density_for(measures, instance.grid, instance.f, instance.p)
-            for comp, nu, inner_val, u in zip(comps, measures, values, densities):
-                total = float(inner_val) + float(instance.g.g(nu.masses).sum())
+            masses = np.array(comps, dtype=float) / units
+            values, densities = best_density_for(pts, instance.grid, instance.f, instance.p, masses)
+            for comp, row, inner_val, u in zip(comps, masses, values, densities):
+                total = float(inner_val) + float(instance.g.g(row).sum())
                 key = (total, k, subset, comp)
                 if best is None or key < best[0]:
-                    best = (key, nu, u)
-    (total, _, _, _), nu, u = best
+                    best = (key, pts, row, u)
+    (total, _, _, _), pts, row, u = best
     mu = GridDensity(instance.grid, np.asarray(u).reshape(instance.grid.resolution))
-    return mu, nu, float(total)
+    return mu, AtomicMeasure(pts, row), float(total)
 
 
 @dataclass(frozen=True, eq=False)

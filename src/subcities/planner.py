@@ -25,6 +25,7 @@ from .semidiscrete import (
     _evaluate,
     _generic_radial,
     _solve_weights_best,
+    _split_masses,
     _Workspace,
     radial_power_integral,
     radius_of_mass,
@@ -298,14 +299,15 @@ def solve_bounded(
 
     def evaluate(atoms: AtomicMeasure):
         ws = _Workspace(atoms, f, p, grid)
-        c, _ = _solve_weights_best(atoms, f, p, grid, tol, max_iter, ws=ws)
-        density, terms, _ = _evaluate(ws, c)
+        solved = _solve_weights_best(atoms, f, p, grid, tol, max_iter, ws=ws)
+        density, terms, _ = _evaluate(ws, solved[0], solved.split)
         terms["G"] = eval_G(g, atoms)
         terms["total"] += terms["G"]
         return {
             "atoms": atoms,
             "ws": ws,
-            "c": c,
+            "c": solved[0],
+            "split": solved.split,
             "density": density,
             "terms": terms,
             "total": terms["total"],
@@ -351,7 +353,8 @@ def solve_bounded(
             break
 
     r_bar = radius_of_mass(f, p, omega.dim, 1.0)
-    s, winner, u, cm = state["ws"].stats(state["c"])
+    s, winner, u, _ = state["ws"].stats(state["c"])
+    cm = _split_masses(state["ws"], winner, u, state["split"])
     profiles = [
         SubcityProfile(
             center=tuple(pt),

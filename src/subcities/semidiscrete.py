@@ -7,15 +7,19 @@ Newton on the concave dual with a boundary-coupled Jacobian. The Armijo line
 search evaluates its step factors in batches, one workspace ``stats`` call
 per batch (a wide first batch on small grids), and accepts the first passing
 factor in order; the Jacobian's boundary-layer widths are tabulated once per
-workspace. If Newton stops above the tolerance, one monotone pass (a
-per-coordinate bisection sweep whose trials read only the moving weight's
-score column, then a uniform shift balancing the total mass) starts from its
-best iterate and is kept only if it lowers the residual.
+workspace.
 
 Hard cell assignment on a grid makes the per-atom mass map piecewise smooth
-with jumps of order (boundary density) * (cell volume), so that is the
-attainable mass-balance floor on generic asymmetric instances; symmetric
-and single-atom instances solve to machine precision.
+with jumps of order (boundary density) * (cell volume), and the dual's
+maximiser sits on such a jump: there some cells tie between atoms and must
+be split. When Newton's active set first repeats, or Newton stops above the
+tolerance, an active-set crossover ties those cells exactly, splits them so
+that every atom gets its mass, and so ends at the exact discrete optimum.
+If it finds no consistent split, the solve goes on as without it, and if
+Newton stops above the tolerance one monotone pass (a per-coordinate
+bisection sweep whose trials read only the moving weight's score column,
+then a uniform shift balancing the total mass) starts from its best iterate
+and is kept only if it lowers the residual.
 """
 
 from __future__ import annotations
@@ -95,17 +99,14 @@ def radial_power_integral(beta: float, s: float, p: float, R: float) -> float:
 def _generic_radial(fn, s: float, R: float) -> float:
     """Panel Gauss-Legendre of fn(R^p - r^p)-style integrands times r^(s-1).
 
-    ``fn`` receives r directly. Panels shrink geometrically toward r = R
-    where catalogue-free integrands may lose smoothness.
+    ``fn`` receives r directly. Panels shrink geometrically toward r = R,
+    where catalogue-free integrands may lose smoothness, and toward r = 0,
+    where r^p has a kink for non-integer p.
     """
     if R <= 0.0:
         return 0.0
-    cuts = [0.0, 0.5 * R]
-    frac = 0.5
-    for _ in range(10):
-        frac *= 0.5
-        cuts.append((1.0 - frac) * R)
-    cuts.append(R)
+    halves = 0.5 ** np.arange(11, 0, -1)  # 2^-11 ... 2^-1
+    cuts = [0.0, *(halves * R), *((1.0 - halves[::-1][1:]) * R), R]
     return sum(
         _gl(a, b, lambda r: fn(r) * r ** (s - 1.0))
         for a, b in zip(cuts[:-1], cuts[1:])
@@ -178,11 +179,19 @@ def _invert_mass(f: FunctionFamily, p: float, n: int, m: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DualWeights:
-    """Per-atom constants pinning the optimal density formula."""
+    """Per-atom constants pinning the optimal density formula.
+
+    ``split`` is None when every cell goes wholly to its best atom, or
+    (cells, shares): those cells' mass goes to the atoms in proportion to
+    the rows of shares, (cells, atoms) with each row summing to 1, which is
+    how the weight solve split its tied cells. ``residual`` is the largest
+    per-atom mass error of that accounting.
+    """
 
     c: np.ndarray
     atoms: AtomicMeasure
     residual: float = float("nan")
+    split: tuple | None = None
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float).copy()
@@ -324,10 +333,12 @@ def _density(ws: _Workspace, s: np.ndarray, u: np.ndarray) -> GridDensity:
 def cell_masses(
     atoms: AtomicMeasure, c, f: FunctionFamily, p: float, grid: Grid
 ) -> np.ndarray:
-    """Midpoint-rule mass of each atom's cell; ties go to the lowest index."""
+    """Midpoint-rule mass of each atom's cell; ties go to the lowest index,
+    unless ``c`` is a ``DualWeights`` whose split shares them."""
     weights = c.c if isinstance(c, DualWeights) else np.asarray(c, dtype=float)
     ws = _Workspace(atoms, f, p, grid)
-    return ws.stats(weights)[3]
+    _, winner, u, _ = ws.stats(weights)
+    return _split_masses(ws, winner, u, c.split if isinstance(c, DualWeights) else None)
 
 
 def _coordinate_sweep(ws: _Workspace, c: np.ndarray, targets: np.ndarray):
@@ -413,10 +424,12 @@ def solve_weights(
 
     Damped Newton ascends the concave dual (gradient: atom masses minus cell
     masses); the Jacobian couples neighboring cells through their shared
-    boundary layer. If Newton ends above ``tol``, one pass of per-coordinate
-    bisection plus a total-mass level polish runs from its best iterate.
-    Raises NoConvergence with the best residual when the requested tolerance
-    is out of reach for the grid.
+    boundary layer. At the kink where Newton cycles, or if it ends above
+    ``tol``, an active-set crossover splits the exactly tied cells so that
+    every atom gets its mass (``DualWeights.split``); if it finds no split,
+    one pass of per-coordinate bisection plus a total-mass level polish runs
+    from Newton's best iterate. Raises NoConvergence with the best residual
+    when the requested tolerance is out of reach.
     """
     return _solve_weights(atoms, f, p, grid, tol, max_iter)[0]
 
@@ -426,14 +439,15 @@ def _solve_weights(atoms, f, p, grid, tol, max_iter):
     if not atoms.is_probability():
         raise NotProbability("solve_weights needs a probability atomic measure")
     ws = _Workspace(atoms, f, p, grid)
-    c, residual = _solve_weights_best(atoms, f, p, grid, tol, max_iter, ws=ws)
+    solved = _solve_weights_best(atoms, f, p, grid, tol, max_iter, ws=ws)
+    c, residual = solved
     if residual > tol:
         raise NoConvergence(
             f"mass balance reached {residual:.3e} > tol {tol:.3e}; "
             "refine the grid or relax the tolerance",
             residual=residual,
         )
-    return DualWeights(c=c, atoms=atoms, residual=residual), ws
+    return DualWeights(c=c, atoms=atoms, residual=residual, split=solved.split), ws
 
 
 def _solve_weights_best(
@@ -445,7 +459,17 @@ def _solve_weights_best(
     max_iter: int = 500,
     ws: _Workspace | None = None,
 ):
-    """Best-effort weight solve; returns (c, residual) without raising."""
+    """Best-effort weight solve; returns ``(c, residual)`` without raising.
+
+    The result unpacks as that pair and carries the tied-cell split as
+    ``.split`` (None when every cell has one owner). Newton hands over to
+    ``_crossover`` from its best iterate at the first accepted iterate whose
+    active set (each cell's winner, -1 off the support) repeats one from
+    before the previous iterate, and again if it stops above ``tol``. If
+    the crossover finds no consistent split, the solve goes on as if it had
+    not run: a Newton that stops above ``tol`` ends in the sweep-and-polish
+    pass.
+    """
     if ws is None:
         ws = _Workspace(atoms, f, p, grid)
     targets = atoms.masses
@@ -474,6 +498,8 @@ def _solve_weights_best(
     best_c = c.copy()
     best_res = float(np.abs(cm - targets).max())
     phi = ws.dual_value(c, s)
+    seen = {_active_set(s, winner): 0}  # active set -> last iterate that had it
+    crossed_from = None
     it = 0
     while it < max_iter and best_res > tol:
         it += 1
@@ -493,7 +519,7 @@ def _solve_weights_best(
         phi_prev = phi
         found = _line_search(ws, c, step, phi, slope)
         if found is not None:
-            c, cm, phi = found
+            c, cm, phi, key = found
         res = float(np.abs(cm - targets).max())
         if res < best_res:
             best_res, best_c = res, c.copy()
@@ -501,13 +527,258 @@ def _solve_weights_best(
             it > 10 and res > tol and phi <= phi_prev + 1e-15 * (1.0 + abs(phi_prev))
         ):
             break
+        if best_res > tol and crossed_from is None and seen.get(key, it - 1) < it - 1:
+            # Newton cycles about a kink of the dual: split its tied cells
+            crossed_from = best_c
+            out = _crossover(ws, best_c)
+            if out is not None and out[1] < best_res:
+                return out
+        seen[key] = it
+    if best_res > tol and best_c is not crossed_from:
+        out = _crossover(ws, best_c)
+        if out is not None and out[1] < best_res:
+            return out
     if best_res > tol:
         # one monotone pass: per-coordinate bisection, then a level re-balance
         c = _level_polish(ws, _coordinate_sweep(ws, best_c, targets), float(targets.sum()))
         res = float(np.abs(ws.stats(c)[3] - targets).max())
         if res < best_res:
             best_res, best_c = res, c
-    return best_c, best_res
+    return _Solved(best_c, best_res)
+
+
+class _Solved(tuple):
+    """``(c, residual)`` of a weight solve with its tied-cell split as ``split``.
+
+    It unpacks as that pair, as ``os.stat_result`` unpacks as its first ten
+    fields; ``split`` is (cells, shares), each row of shares one cell's
+    fractions per atom, or None.
+    """
+
+    def __new__(cls, c, residual, split=None):
+        out = super().__new__(cls, (c, residual))
+        out.split = split
+        return out
+
+
+def _active_set(s: np.ndarray, winner: np.ndarray) -> bytes:
+    """Each cell's winner, -1 off the support, as a hashable key."""
+    return np.where(s > 0, winner, -1).tobytes()
+
+
+def _split_masses(ws: _Workspace, winner, u, split) -> np.ndarray:
+    """Per-atom mass: winner-takes-all but for the split's cells, shared by their rows."""
+    mass = u * ws.vol
+    if split is None:
+        return np.bincount(winner, weights=mass, minlength=ws.m)
+    cells, shares = split
+    rest = np.ones(len(mass), dtype=bool)
+    rest[cells] = False
+    return np.bincount(winner[rest], weights=mass[rest], minlength=ws.m) + mass[cells] @ shares
+
+
+_PIVOTS = 8  # crossover rounds, one stats call each
+
+
+def _crossover(ws: _Workspace, c0: np.ndarray):
+    """The dual optimum near ``c0`` with its tied cells split, or None.
+
+    Atoms are held in components joined by tie edges. An edge (a, b, tau)
+    fixes c_a - c_b = tau, so its run ties exactly: every cell where a and
+    b lead their component and d_a - d_b = tau (a whole run of cells for
+    p = 1, or where the atoms line up with the grid). Each cell belongs to
+    one component and goes to its best atom there, and one level per
+    component balances the component's mass (``_level``). Each run is then
+    shared so that every atom gets its mass: across an edge flows what the
+    atoms on its side still lack. A round, one ``stats`` call, pivots until
+    that split is consistent:
+    - a component that owns no cell ties to the cell it loses by least;
+    - cells that an atom of another component now beats tie the two
+      components, at the cell beaten by most (the first to flip as the
+      levels moved apart);
+    - the edge whose share leaves [0, 1] by most gives its run to the side
+      that wants more, and the sides tie again at the first cell across
+      their boundary by which the flipped cells and the level shift cover
+      that want; they are left untied if the shift covers it before that
+      cell flips, or if that cell is in the run the last pivot released.
+    Returns None if no round of ``_PIVOTS`` is consistent.
+    """
+    m, d, vol, idx = ws.m, ws.dist_p, ws.vol, ws._idx
+    targets = ws.atoms.masses
+    eps = 1e-12 * (1.0 + float(d.max()) + float(np.abs(c0).max()))  # tie tolerance
+    s, winner, _, _ = ws.stats(c0)
+    own, c = winner, c0.copy()
+    comp = np.arange(m)  # component label of each atom
+    edges = []  # (a, b, tau): c_a - c_b = tau
+    released = np.zeros(len(d), dtype=bool)
+    for _ in range(_PIVOTS):
+        delta = _tree_offsets(c, comp, edges)
+        rel = delta - d
+        # cells off the support carry no mass and follow the global winner;
+        # an owner within eps of its component's best keeps the cell, so a
+        # pivot's assignment of a tied cell holds
+        own = np.where(s > 0, own, winner)
+        within = np.where(comp[None, :] == comp[own][:, None], rel, -np.inf)
+        best = within.argmax(axis=1)
+        own = np.where(rel[idx, own] >= within[idx, best] - eps, own, best)
+        held = np.bincount(comp[own], minlength=comp.max() + 1) > 0
+        if not held[comp].all():
+            label = comp[np.argmin(held[comp])]
+            x = int(np.argmin(s - np.where(comp == label, c - d, -np.inf).max(axis=1)))
+            i = int(np.where(comp == label, c - d[x], -np.inf).argmax())
+            edges.append((i, own[x], d[x, i] - d[x, own[x]]))
+            comp[comp == label] = comp[own[x]]
+            continue
+        base = rel[idx, own]
+        levels = np.zeros(m)
+        for label in np.unique(comp):
+            total = float(targets[comp == label].sum())
+            levels[comp == label] = _level(ws.f, vol, base[comp[own] == label], total)
+        c = delta + levels
+        s, winner, u, _ = ws.stats(c)
+        score = c[own] - d[idx, own]
+        beaten = np.nonzero((s > 0) & (s - score > eps))[0]
+        if len(beaten):
+            beaten = beaten[np.argsort(score[beaten] - s[beaten], kind="stable")]
+            _, first = np.unique(own[beaten] * m + winner[beaten], return_index=True)
+            for x in beaten[np.sort(first)]:
+                i, j = own[x], winner[x]
+                if comp[i] != comp[j]:
+                    edges.append((i, j, d[x, i] - d[x, j]))
+                    comp[comp == comp[j]] = comp[i]
+            released[:] = False
+            continue
+        runs, free = [], np.ones(len(own), dtype=bool)
+        for a, b, tau in edges:
+            run = free & ((own == a) | (own == b)) & (np.abs(d[:, a] - d[:, b] - tau) <= eps)
+            free &= ~run
+            runs.append(np.nonzero(run)[0])
+        cell_mass = ws.f.k(score) * vol
+        lack = targets - np.bincount(own[free], weights=cell_mass[free], minlength=m)
+        run_mass = np.array([cell_mass[r].sum() for r in runs])
+        shares = []  # the mass each run gives its edge's atom a
+        for e, (a, _, _) in enumerate(edges):
+            side = _side(edges, e, a)
+            inside = [k for k, edge in enumerate(edges) if k != e and edge[0] in side]
+            shares.append(float(lack[list(side)].sum() - run_mass[inside].sum()))
+        over = [max(t - w, -t) for t, w in zip(shares, run_mass)]
+        if not edges or max(over) <= 1e-13:
+            return _certify(ws, c, winner, u, own, free, edges, runs, shares, run_mass)
+        e = int(np.argmax(over))
+        a, b, tau = edges[e]
+        grow_a = shares[e] > run_mass[e]
+        label = comp[a]
+        grows = np.isin(np.arange(m), list(_side(edges, e, a))) == grow_a
+        grows &= comp == label
+        del edges[e]
+        own[runs[e]] = a if grow_a else b
+        # candidates: the shrinking side's free cells, by their margin over
+        # the growing side, but for those on the released run's own line
+        rival = np.where(grows, rel, -np.inf)
+        j = rival.argmax(axis=1)
+        margin = rel[idx, own] - rival[idx, j]
+        same_line = (np.abs(d[:, a] - d[:, b] - tau) <= eps) & (
+            ((j == a) & (own == b)) | ((j == b) & (own == a)))
+        mine = free & ~same_line & (comp[own] == label) & ~grows[own] & (s > 0)
+        order = np.nonzero(mine)[0][np.argsort(margin[mine], kind="stable")]
+        # the level shift a margin t needs moves t * k'_grow k'_shrink /
+        # (k'_grow + k'_shrink) of mass, each side as stiff as its cells
+        want = shares[e] - run_mass[e] if grow_a else -shares[e]
+        stiff = ws.f.k_prime(score) * vol
+        k_grow = float(stiff[free & grows[own]].sum())
+        k_shrink = float(stiff[free & ~grows[own] & (comp[own] == label)].sum())
+        slope = k_grow * k_shrink / (k_grow + k_shrink) if k_grow + k_shrink > 0 else 0.0
+        cover = np.cumsum(cell_mass[order]) + slope * margin[order]
+        k = min(int(np.searchsorted(cover, want)), len(order) - 1)
+        x = order[k] if len(order) else -1
+        if x >= 0:
+            flips = mine & (margin < margin[x] - eps)
+            own[flips] = j[flips]
+        if x < 0 or released[x] or want < cover[k] - cell_mass[x]:  # no tie: untie the sides
+            comp[(comp == label) & ~grows] = comp.max() + 1
+        else:
+            edges.append((j[x], own[x], d[x, j[x]] - d[x, own[x]]))
+        released[:] = False
+        released[runs[e]] = True
+    return None
+
+
+def _tree_offsets(c: np.ndarray, comp: np.ndarray, edges) -> np.ndarray:
+    """Weights meeting every edge's tie, each component's lowest atom kept at c."""
+    delta = np.full(len(c), np.nan)
+    roots = np.unique(comp, return_index=True)[1]
+    delta[roots] = c[roots]
+    for _ in range(len(c)):
+        for a, b, tau in edges:  # c_a - c_b = tau
+            if np.isnan(delta[b]):
+                delta[b] = delta[a] - tau
+            elif np.isnan(delta[a]):
+                delta[a] = delta[b] + tau
+    return delta
+
+
+def _side(edges, e: int, a: int) -> set:
+    """The atoms joined to ``a`` by the edges other than edge ``e``."""
+    side, grew = {a}, True
+    while grew:
+        grew = False
+        for k, (x, y, _) in enumerate(edges):
+            if k != e and (x in side) != (y in side):
+                side |= {x, y}
+                grew = True
+    return side
+
+
+def _level(f: FunctionFamily, vol: float, base: np.ndarray, target: float) -> float:
+    """The shift L with vol * sum k(L + base) = target, ``base`` not empty.
+
+    The mass is continuous and nondecreasing in L. Newton steps stay inside
+    the bracket of the root found so far; a step that would leave it
+    bisects, or, while one end is still unknown, moves by 1 + |L| that way.
+    """
+    level, lo, hi = 0.0, -np.inf, np.inf
+    for _ in range(100):
+        t = level + base
+        gap = float(f.k(t).sum()) * vol - target
+        if gap == 0.0:
+            break
+        if gap < 0.0:
+            lo = level
+        else:
+            hi = level
+        slope = float(f.k_prime(t).sum()) * vol
+        nxt = level - gap / slope if slope > 0.0 else np.nan
+        if not lo < nxt < hi:
+            if np.isfinite(lo) and np.isfinite(hi):
+                nxt = 0.5 * (lo + hi)
+            elif np.isfinite(lo):
+                nxt = max(lo, -float(base.max())) + 1.0 + abs(lo)
+            else:
+                nxt = hi - 1.0 - abs(hi)
+        if nxt in (level, lo, hi):
+            break
+        level = nxt
+    return level
+
+
+def _certify(ws: _Workspace, c, winner, u, own, free, edges, runs, shares, run_mass):
+    """``_Solved`` of a consistent crossover round: c, residual and split.
+
+    Each run is shared as its edge's flow says; a cell outside the runs
+    that ``stats`` gives another atom by a margin below the tie tolerance
+    keeps its crossover owner through a one-hot row.
+    """
+    rows = []
+    for (a, b, _), run, t, w in zip(edges, runs, shares, run_mass):
+        row = np.zeros((len(run), ws.m))
+        row[:, a] = min(max(t / w, 0.0), 1.0) if w > 0 else 0.5
+        row[:, b] = 1.0 - row[:, a]
+        rows.append(row)
+    moved = np.nonzero(free & (winner != own))[0]
+    cells = np.concatenate(runs + [moved])
+    split = (cells, np.concatenate(rows + [np.eye(ws.m)[own[moved]]])) if len(cells) else None
+    residual = float(np.abs(_split_masses(ws, winner, u, split) - ws.atoms.masses).max())
+    return _Solved(c, residual, split)
 
 
 # Newton step factors 2^0 ... 2^-43, every power of two above 1e-13; the
@@ -527,8 +798,8 @@ def _line_search(ws: _Workspace, c: np.ndarray, step: np.ndarray, phi: float, sl
     but in batches of one ``stats`` call each: a first batch of as many
     trials as fit the first-batch budget (a single trial on a large grid),
     then twice as many per call up to the trial budget.
-    Returns (weights, cell masses, dual value) of the accepted trial, or
-    None when no factor passes.
+    Returns (weights, cell masses, dual value, active set) of the accepted
+    trial, or None when no factor passes.
     """
     masses = ws.atoms.masses
     slack = 1e-13 * (1.0 + abs(phi))
@@ -537,14 +808,14 @@ def _line_search(ws: _Workspace, c: np.ndarray, step: np.ndarray, phi: float, sl
     while start < len(_STEP_FACTORS):
         lams = _STEP_FACTORS[start : start + width]
         trials = c + lams[:, None] * step
-        s, _, u, cm = ws.stats(trials)
+        s, winner, u, cm = ws.stats(trials)
         # f*(max(s, 0)) from the density: k(max(s, 0)) == k(s) == u
         fu = ws.f.f(u.ravel()).reshape(u.shape)
         conj = np.where(s > 0, s * u - fu, 0.0).sum(axis=1) * ws.vol
         for t, lam in enumerate(lams.tolist()):
             phi2 = float(trials[t] @ masses) - float(conj[t])
             if phi2 >= phi + 1e-4 * lam * slope - slack:
-                return trials[t], cm[t], phi2
+                return trials[t], cm[t], phi2, _active_set(s[t], winner[t])
         start += width
         width = min(2 * width, cap)
     return None
@@ -586,18 +857,20 @@ def min_Fp_nu(
 def _min_Fp_nu(nu, f, p, grid, tol, max_iter):
     """``min_Fp_nu`` plus the transport plan it solved."""
     weights, ws = _solve_weights(nu, f, p, grid, tol, max_iter)
-    density, breakdown, plan = _evaluate(ws, weights.c)
+    density, breakdown, plan = _evaluate(ws, weights.c, weights.split)
     breakdown["transport_route"] = "lp"  # constant; perfbench/workloads.check_mu reads it
     return density, breakdown, plan
 
 
-def _evaluate(ws: _Workspace, c: np.ndarray):
+def _evaluate(ws: _Workspace, c: np.ndarray, split=None):
     """The fixed-atom value of weights ``c``: (density, breakdown, plan).
 
     One ``stats`` call gives the density, the dual's scores and the cell
-    masses; the transport term is the warm-started exact LP to ``ws.atoms``.
+    masses, the tied cells shared as ``split`` says; the transport term is
+    the warm-started exact LP to ``ws.atoms``.
     """
-    s, _, u, cm = ws.stats(c)
+    s, winner, u, _ = ws.stats(c)
+    cm = _split_masses(ws, winner, u, split)
     density = _density(ws, s, u)
     f_term = eval_F(ws.f, density)
     transport, plan = _transport_term(ws.atoms, density, ws.p, c)

@@ -155,23 +155,28 @@ class TestMuSubproblemMode:
         assert objective["transport"] == pytest.approx(float(mass @ cost), rel=1e-12)
 
     def test_nonconvergent_exit_code(self, tmp_path):
-        # asymmetric atoms on a coarse grid cannot reach the default
-        # mass-balance tolerance; the run must exit 2 with an error report
-        cfg = write_config(
-            tmp_path,
-            {
-                **BASE,
-                "domain": [[0.0, 1.0]],
-                "grid": 48,
-                "atoms": [
-                    {"point": [0.3], "mass": 0.35},
-                    {"point": [0.62], "mass": 0.65},
-                ],
-            },
-        )
-        out = tmp_path / "run"
-        assert main(["mu-subproblem", "--config", str(cfg), "--out", str(out)]) == 2
-        report = json.loads((out / "report.json").read_text())
+        # asymmetric atoms on a coarse grid: winner-takes-all cells cannot
+        # reach the default mass-balance tolerance, the split tied cell can
+        def run(name, p, atoms):
+            cfg = write_config(tmp_path, {**BASE, "p": p, "domain": [[0.0, 1.0]], "grid": 48,
+                                          "atoms": atoms}, name=f"{name}.json")
+            status = main(["mu-subproblem", "--config", str(cfg), "--out", str(tmp_path / name)])
+            return status, json.loads((tmp_path / name / "report.json").read_text())
+
+        status, report = run("split", 2.0, [
+            {"point": [0.3], "mass": 0.35},
+            {"point": [0.62], "mass": 0.65},
+        ])
+        assert status == 0 and report["result"]["objective"]["mass_residual"] <= 1e-12
+        # p = 1: the optimum ties all three atoms on the run left of them,
+        # which the crossover cannot share; the run must exit 2 with an
+        # error report
+        status, report = run("three-way", 1.0, [
+            {"point": [0.2], "mass": 0.045},
+            {"point": [0.235], "mass": 0.075},
+            {"point": [0.47], "mass": 0.88},
+        ])
+        assert status == 2
         assert report["error"]["type"] == "NoConvergence"
 
 

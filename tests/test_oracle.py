@@ -266,6 +266,21 @@ class TestBatchedInnerSolve:
         monkeypatch.setattr(oracle, "_ROW_BUDGET", 3 * cells * k)
         _assert_batches_match_replay(name)
 
+    def test_shared_points_match_the_measures(self):
+        inst = _instance("c9-three-sites")
+        pts = inst.candidate_sites[[0, 2]]
+        masses = np.array(list(_compositions(inst.mass_units, 2)), dtype=float) / inst.mass_units
+        want = best_density_for([AtomicMeasure(pts, row) for row in masses], inst.grid, inst.f, inst.p)
+        got = best_density_for(pts, inst.grid, inst.f, inst.p, masses)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_sites_must_be_distinct(self):
+        with pytest.raises(ValueError):
+            BruteForceInstance(
+                grid=_unit_grid(8), candidate_sites=np.array([[0.3], [0.3]]), f=quadratic(),
+                g=power_g(0.3, 0.5), p=2.0, mass_units=4,
+            )
+
     def test_single_measure_is_a_batch_of_one(self):
         inst = _instance("custom-f")
         nu = AtomicMeasure([[0.3], [0.7]], [0.3, 0.7])

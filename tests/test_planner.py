@@ -595,13 +595,14 @@ class TestOneEvaluation:
         ],
     )
     def test_bounded_transport_is_the_exact_lp_to_the_atoms(self, bounds, points, resolution):
-        # weight solves that stop far above tol, where the cost to the cell
-        # masses is 2.9 % (1-D) and 0.3 % (2-D) off the cost to the atoms
+        # weight solves whose winner-takes-all cells miss tol by far, where
+        # the cost to those cell masses is 2.9 % (1-D) and 0.3 % (2-D) off
+        # the cost to the atoms; the split tied cells balance the atoms
         init = AtomicMeasure(points, [0.4, 0.35, 0.25])
         sol = solve_bounded(
             Domain.box(bounds), F, power_g(0.4, 0.5), 2.0, init, rounds=0, resolution=resolution
         )
-        assert sol.metadata["mass_residual"] > 1e-3
+        assert sol.metadata["mass_residual"] <= 1e-12
         nu = WeightedPointCloud(sol.nu.points, sol.nu.masses)
         cold = solve_discrete_transport(to_point_cloud(normalize(sol.mu)), nu, 2.0)
         assert sol.objective["transport"] == pytest.approx(cold.total_cost, rel=1e-12)

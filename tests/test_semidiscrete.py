@@ -306,12 +306,19 @@ class TestSolveWeights:
 
     def test_no_convergence_reports_floor(self):
         # generic asymmetric instance: hard cell assignment floors the
-        # residual near (boundary density) * (cell volume)
+        # residual near (boundary density) * (cell volume); the crossover
+        # splits the tied cell and balances both atoms
         atoms = AtomicMeasure([[0.3], [0.62]], [0.35, 0.65])
+        w = solve_weights(atoms, quadratic(), 2.0, grid1d(0, 1, 64), tol=1e-10)
+        assert w.residual <= 1e-12 and w.split is not None
+        # p = 1: left of every atom each pair's scores differ by a constant,
+        # and the optimum ties all three atoms on one run of cells; the
+        # crossover shares a cell between two atoms only, so the solve
+        # stops where the two small atoms own nothing
+        atoms = AtomicMeasure([[0.2], [0.235], [0.47]], [0.045, 0.075, 0.88])
         with pytest.raises(NoConvergence) as err:
-            solve_weights(atoms, quadratic(), 2.0, grid1d(0, 1, 64), tol=1e-10)
-        assert err.value.residual is not None
-        assert 0 < err.value.residual < 0.05
+            solve_weights(atoms, quadratic(), 1.0, grid1d(0, 1, 32), tol=1e-9)
+        assert err.value.residual == pytest.approx(0.12)
 
     def test_p1_and_power_f(self):
         atoms = AtomicMeasure([[0.4], [0.6]], [0.5, 0.5])
@@ -441,10 +448,14 @@ def _reference_sweep(ws, c, targets):
 
 
 def _reference_solve(ws, tol, max_iter=500):
-    """The weight solve with a one-trial-at-a-time halving line search."""
+    """The weight solve with a one-trial-at-a-time halving line search and
+    no crossover; also returns the iterates it would hand to the crossover:
+    the best one at the first accepted iterate whose active set repeats one
+    from before the previous iterate, and the best one at the end if Newton
+    stopped above ``tol`` from another."""
     targets = ws.atoms.masses
     c = np.array([radius_of_mass(ws.f, ws.p, ws.grid.domain.dim, m) for m in targets]) ** ws.p
-    s, _, _, cm = ws.stats(c)
+    s, winner, _, cm = ws.stats(c)
     for _ in range(2 * ws.m + 2):
         lacking = [i for i in range(ws.m) if cm[i] <= 0]
         if not lacking:
@@ -457,11 +468,13 @@ def _reference_solve(ws, tol, max_iter=500):
                 best_other = np.zeros(len(ws.dist_p))
             req = (ws.dist_p[:, i] + np.maximum(best_other, 0.0)).min()
             c[i] = req + 1e-9 * (1.0 + abs(req))
-        s, _, _, cm = ws.stats(c)
+        s, winner, _, cm = ws.stats(c)
     else:
         raise GridTooCoarse("no supporting cell")
     best_c, best_res = c.copy(), float(np.abs(cm - targets).max())
     phi = ws.dual_value(c, s)
+    seen = {np.where(s > 0, winner, -1).tobytes(): 0}
+    handed = []
     it = 0
     while it < max_iter and best_res > tol:
         it += 1
@@ -478,10 +491,11 @@ def _reference_solve(ws, tol, max_iter=500):
         lam, accepted, phi_prev = 1.0, False, phi
         while lam > 1e-13:
             c_try = c + lam * step
-            s2, _, _, cm2 = ws.stats(c_try)
+            s2, w2, _, cm2 = ws.stats(c_try)
             phi2 = ws.dual_value(c_try, s2)
             if phi2 >= phi + 1e-4 * lam * slope - 1e-13 * (1.0 + abs(phi)):
                 c, cm, phi, accepted = c_try, cm2, phi2, True
+                key = np.where(s2 > 0, w2, -1).tobytes()
                 break
             lam *= 0.5
         res = float(np.abs(cm - targets).max())
@@ -491,12 +505,17 @@ def _reference_solve(ws, tol, max_iter=500):
             it > 10 and res > tol and phi <= phi_prev + 1e-15 * (1.0 + abs(phi_prev))
         ):
             break
+        if best_res > tol and not handed and seen.get(key, it - 1) < it - 1:
+            handed.append(best_c)
+        seen[key] = it
+    if best_res > tol and not (handed and handed[0] is best_c):
+        handed.append(best_c)
     if best_res > tol:
         c = _reference_polish(ws, _reference_sweep(ws, best_c, targets), float(targets.sum()))[0]
         res = float(np.abs(ws.stats(c)[3] - targets).max())
         if res < best_res:
             best_res, best_c = res, c
-    return best_c, best_res
+    return best_c, best_res, handed
 
 
 def _random_workspace(rng):
@@ -524,9 +543,16 @@ class TestBitIdentity:
     one-column sweep and the polish's early stop reproduce the plain loops
     bit for bit."""
 
-    def test_solve_matches_sequential_line_search(self):
+    def test_solve_matches_sequential_line_search(self, monkeypatch):
+        # with a crossover that never finds a split, the solve is the plain
+        # Newton loop plus the sweep-and-polish pass, and it hands over the
+        # iterates that loop reaches at its first active-set revisit and
+        # at its end
+        from subcities import semidiscrete
         from subcities.semidiscrete import _solve_weights_best, _Workspace
 
+        handed = []
+        monkeypatch.setattr(semidiscrete, "_crossover", lambda ws, c0: handed.append(c0.copy()))
         rng = np.random.default_rng(11)
         workspaces = [_random_workspace(rng) for _ in range(210)]
         # the two instances pinned in TestSolveWeights
@@ -540,22 +566,27 @@ class TestBitIdentity:
                 [0.2448, 0.3273, 0.4279],
             ), quadratic(), 2.0, Grid(Domain.box([(0, 1), (0, 1)]), (16, 16))),
         ]
-        solved = above_floor = 0
+        solved = above_floor = revisits = 0
         for ws in workspaces:
             # the documented floor u_max * h^n, as the benchmark sets it
             r = radius_of_mass(ws.f, ws.p, ws.grid.domain.dim, float(ws.atoms.masses.max()))
             tol = float(ws.f.k(np.array([r**ws.p]))[0]) * ws.vol
+            handed.clear()
             try:
                 want = _reference_solve(ws, tol, max_iter=40)
             except GridTooCoarse:
                 with pytest.raises(GridTooCoarse):
                     _solve_weights_best(ws.atoms, ws.f, ws.p, ws.grid, tol, 40, ws=ws)
                 continue
-            c, res = _solve_weights_best(ws.atoms, ws.f, ws.p, ws.grid, tol, 40, ws=ws)
-            assert np.array_equal(c, want[0]) and res == want[1]
+            got = _solve_weights_best(ws.atoms, ws.f, ws.p, ws.grid, tol, 40, ws=ws)
+            c, res = got
+            assert np.array_equal(c, want[0]) and res == want[1] and got.split is None
+            assert len(handed) == len(want[2])
+            assert all(np.array_equal(g, w) for g, w in zip(handed, want[2]))
             solved += 1
             above_floor += res > tol  # these ran the sweep-and-polish pass
-        assert solved >= 200 and above_floor > 10
+            revisits += len(handed) == 2  # at a revisit, then again at the end
+        assert solved >= 200 and above_floor > 10 and revisits > 10
 
     def test_line_search_matches_halving_loop(self):
         # grids past numpy's 128-element pairwise-sum blocks, where the
@@ -672,6 +703,75 @@ class TestBitIdentity:
             assert len(calls) == pinned
             stopped += pinned < made
         assert stopped > 30
+
+
+class TestCrossover:
+    """Tied cells split so that every atom gets its mass: the exact optimum
+    of the discrete problem that ``oracle.best_density_for`` solves."""
+
+    @pytest.mark.parametrize(
+        "points, masses, p, cells",
+        [
+            ([[0.25], [0.6]], [0.4, 0.6], 2.0, (32,)),
+            ([[0.25], [0.6]], [0.4, 0.6], 2.0, (64,)),
+            ([[0.3, 0.5], [0.7, 0.5], [0.5, 0.2]], [0.4, 0.35, 0.25], 2.0, (16, 16)),
+            ([[0.3, 0.5], [0.7, 0.5], [0.5, 0.2]], [0.4, 0.35, 0.25], 2.0, (24, 24)),
+            # p = 1 in 1-D: whole runs of cells tie beyond an atom
+            ([[0.236118], [0.409815], [0.588668], [0.764406]],
+             [0.186266, 0.227732, 0.273247, 0.312755], 1.0, (64,)),
+        ],
+    )
+    def test_exact_discrete_optimum(self, points, masses, p, cells):
+        from subcities.oracle import best_density_for
+
+        nu = AtomicMeasure(points, masses)
+        grid = Grid(Domain.box([(0, 1)] * nu.dim), cells)
+        weights = solve_weights(nu, quadratic(), p, grid, tol=1e-12)
+        _, breakdown = min_Fp_nu(nu, quadratic(), p, grid, tol=1e-12)
+        value, _ = best_density_for(nu, grid, quadratic(), p)
+        assert weights.split is not None
+        assert breakdown["mass_residual"] == weights.residual <= 1e-12
+        assert abs(breakdown["total"] - value) <= 1e-9
+        assert breakdown["total"] - breakdown["dual_objective"] <= 1e-9
+
+    def test_hands_over_at_the_first_revisit(self, monkeypatch):
+        # today's solve of this instance ends in the sweep-and-polish pass;
+        # Newton now stops at its first active-set revisit and the crossover
+        # ends the solve
+        from subcities import semidiscrete
+        from subcities.semidiscrete import _solve_weights_best, _Workspace
+
+        atoms = AtomicMeasure([[0.378, 0.6887], [0.401, 0.3089], [0.7229, 0.5182]],
+                              [0.2448, 0.3273, 0.4279])
+        grid = Grid(Domain.box([(0, 1), (0, 1)]), (16, 16))
+        r = radius_of_mass(quadratic(), 2.0, 2, float(atoms.masses.max()))
+        tol = float(r**2) * grid.cell_volume
+        ws = _Workspace(atoms, quadratic(), 2.0, grid)
+        assert _reference_solve(ws, tol)[2]  # Newton stops above tol, then the fallback
+        calls = {"sweep": 0, "jacobian": 0}
+        sweep, jacobian, crossover = (
+            semidiscrete._coordinate_sweep, ws.full_jacobian, semidiscrete._crossover)
+
+        def counted_sweep(*args):
+            calls["sweep"] += 1
+            return sweep(*args)
+
+        def counted_jacobian(c):
+            calls["jacobian"] += 1
+            return jacobian(c)
+
+        ws.full_jacobian = counted_jacobian
+        # the Newton iterations before the first hand-over, the crossover stubbed out
+        revisit = []
+        monkeypatch.setattr(semidiscrete, "_crossover", lambda w, c0: revisit.append(calls["jacobian"]))
+        _solve_weights_best(atoms, quadratic(), 2.0, grid, tol, ws=ws)
+        monkeypatch.setattr(semidiscrete, "_crossover", crossover)
+        monkeypatch.setattr(semidiscrete, "_coordinate_sweep", counted_sweep)
+        calls["jacobian"] = 0
+        got = _solve_weights_best(atoms, quadratic(), 2.0, grid, tol, ws=ws)
+        assert len(revisit) == 2 and revisit[0] < revisit[1]  # a revisit, then the end
+        assert calls == {"sweep": 0, "jacobian": revisit[0]}
+        assert got[1] <= 1e-12 and got.split is not None
 
 
 class TestStructureInvariants:

@@ -276,11 +276,13 @@ class TestOneMassRadiusLaw:
     def test_closed_form_matches_the_quadrature_route(self, p, n):
         # both routes share g, so the profile parts are compared: R, E - g,
         # E' - g' = R^p and E'' - g'' (E'' itself crosses 0 near m = 0.4).
-        # The quadrature route's mass is off by up to 1e-10 relative: its
-        # bisection stops at a mass error of 1e-13 (1e-10 of m = 1e-3), and at
-        # p = 1.5, n = 1 it is 1.0e-10 low at every radius (its panels do not
-        # grade toward the r^1.5 kink at r = 0). E - g ~ m^((e+p)/e) carries
-        # either as up to 1.6e-10.
+        # The routes' masses differ by up to 1.2e-10 relative: the quadrature
+        # route's bisection stops at a mass error of 1e-13 (1e-10 of m =
+        # 1e-3), and at p = 1.5 the closed form's mass m(1) is 1.2e-10 high
+        # (its 64-point rule meets the z^1.5 kink at z = 0 unsubstituted
+        # when alpha is an integer; the quadrature route, graded toward
+        # r = 0, is exact to 2e-16 there). E - g ~ m^((e+p)/e) carries
+        # either as up to 2e-10.
         g, custom = power_g(0.7, 0.4), _custom_quadratic()
         parts = [
             _radius,
