@@ -256,9 +256,7 @@ def _run_plan_bounded(cfg: RunConfig, outdir: Path) -> dict:
 def _run_mu_subproblem(cfg: RunConfig, outdir: Path) -> dict:
     domain = _domain_from(cfg.domain_bounds, cfg.n)
     nu = _parse_atoms(cfg.atoms_spec, cfg.n)
-    res = cfg.resolution
-    resolution = tuple(res) if isinstance(res, (list, tuple)) else (int(res),) * cfg.n
-    grid = Grid(domain, resolution)
+    grid = Grid(domain, cfg.resolution)
     density, breakdown, plan = _min_Fp_nu(
         nu,
         cfg.f,
@@ -279,9 +277,7 @@ def _run_mu_subproblem(cfg: RunConfig, outdir: Path) -> dict:
 def _run_validate(cfg: RunConfig, outdir: Path) -> dict:
     spec = cfg.validate_spec
     domain = _domain_from(cfg.domain_bounds, cfg.n)
-    res = spec.get("grid", 32)
-    resolution = tuple(res) if isinstance(res, (list, tuple)) else (int(res),) * cfg.n
-    grid = Grid(domain, resolution)
+    grid = Grid(domain, spec.get("grid", 32))
     sites = np.array(spec.get("sites", []), dtype=float)
     if sites.size == 0:
         raise ConfigError("validate mode needs 'validate.sites'")
@@ -309,7 +305,8 @@ def _run_validate(cfg: RunConfig, outdir: Path) -> dict:
             init = AtomicMeasure(sites[list(subset)], np.full(k, 1.0 / k))
             cand = solve_bounded(
                 domain, cfg.f, cfg.g, cfg.p, init,
-                rounds=cfg.rounds, resolution=resolution,
+                rounds=cfg.rounds, resolution=grid.resolution,
+                tol=cfg.tolerances["mass_balance"], max_iter=cfg.tolerances["newton_max_iter"],
             )
             if best is None or cand.objective["total"] < best.objective["total"]:
                 best = cand

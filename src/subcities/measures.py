@@ -90,14 +90,18 @@ class Domain:
 
 @dataclass(frozen=True)
 class Grid:
-    """A regular cell-centered grid over a bounded box domain."""
+    """A regular cell-centered grid over a bounded box domain.
+
+    ``resolution`` is one cell count per axis, or one int for every axis.
+    """
 
     domain: Domain
     resolution: tuple[int, ...]
 
     def __post_init__(self):
         self.domain._require_bounded()
-        res = tuple(int(r) for r in self.resolution)
+        res = self.resolution
+        res = (int(res),) * self.domain.dim if np.isscalar(res) else tuple(int(r) for r in res)
         object.__setattr__(self, "resolution", res)
         if len(res) != self.domain.dim:
             raise ValueError("resolution must give one cell count per axis")
@@ -285,9 +289,7 @@ def make_grid_density(domain: Domain, resolution, cell_values) -> GridDensity:
     """Build a GridDensity on a bounded box; rejects negative cell values."""
     if not domain.is_bounded:
         raise UnboundedDomain("grid densities need a bounded domain")
-    if np.isscalar(resolution):
-        resolution = (int(resolution),) * domain.dim
-    return GridDensity(Grid(domain, tuple(resolution)), cell_values)
+    return GridDensity(Grid(domain, resolution), cell_values)
 
 
 def normalize(density: GridDensity) -> GridDensity:

@@ -22,14 +22,12 @@ from .functionals import ConcentrationFamily, FunctionFamily, eval_G
 from .measures import AtomicMeasure, Domain, Grid, GridDensity
 from .semidiscrete import (
     SubcityProfile,
+    _ball_transport_cost,
     _evaluate,
-    _generic_radial,
     _solve_weights_best,
     _split_masses,
     _Workspace,
-    radial_power_integral,
     radius_of_mass,
-    unit_ball_volume,
 )
 from .subcity import EnergyCurve, check_atomization_condition, subadditivity_threshold
 
@@ -161,16 +159,6 @@ def solve_atomic_problem(
     return len(masses), masses, value
 
 
-def _ball_transport_cost(f: FunctionFamily, p: float, n: int, R: float) -> float:
-    """Closed-form transport term of one ball: int k(R^p - r^p) r^p n w_n r^(n-1) dr."""
-    if R <= 0:
-        return 0.0
-    nwn = n * unit_ball_volume(n)
-    if f.is_power_shaped:
-        return nwn * f.kappa * radial_power_integral(f.alpha, n + p, p, R)
-    return nwn * _generic_radial(lambda r: f.k(R**p - r**p) * r**p, n, R)
-
-
 def _layout_points(k: int, n: int, spacing: float, layout: str, origin) -> np.ndarray:
     pts = np.zeros((k, n))
     if layout == "grid" and n >= 2:
@@ -221,9 +209,7 @@ def assemble_rn_solution(
         resolution = tuple(
             max(8, int(np.ceil((hi[a] - lo[a]) / r_bar * per_rbar))) for a in range(n)
         )
-    elif np.isscalar(resolution):
-        resolution = (int(resolution),) * n
-    grid = Grid(domain, tuple(resolution))
+    grid = Grid(domain, resolution)
     atoms = AtomicMeasure(pts, masses)
     density, terms, _ = _evaluate(_Workspace(atoms, f, p, grid), radii**p)
     transport_closed = float(sum(_ball_transport_cost(f, p, n, R) for R in radii))
@@ -293,9 +279,7 @@ def solve_bounded(
     """
     if not init.is_probability():
         raise NotProbability("initial atoms must form a probability")
-    if np.isscalar(resolution):
-        resolution = (int(resolution),) * omega.dim
-    grid = Grid(omega, tuple(resolution))
+    grid = Grid(omega, resolution)
 
     def evaluate(atoms: AtomicMeasure):
         ws = _Workspace(atoms, f, p, grid)

@@ -28,7 +28,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -61,76 +61,75 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def _gl(a: float, b: float, fn) -> float:
-    x = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-    return 0.5 * (b - a) * float(np.dot(_GL_WEIGHTS, fn(x)))
-
-
-@lru_cache(maxsize=4096)
-def _scaled_power_integral(beta: float, s: float, p: float) -> float:
-    """J = int_0^1 (1 - z^p)^beta z^(s-1) dz by Gauss-Legendre.
-
-    For non-integer beta the integrand has an algebraic endpoint singularity
-    at z=1; substituting 1-z = w^m with integer m >= 4/(1+beta) makes the
-    transformed integrand smooth enough for the 64-point rule.
-    """
-    if abs(beta - round(beta)) < 1e-12 and round(beta) >= 0:
-        return _gl(0.0, 1.0, lambda z: (1.0 - z**p) ** beta * z ** (s - 1.0))
-    m = max(1, math.ceil(4.0 / (1.0 + beta)))
-
-    def fn(w):
-        t = w**m
-        z = 1.0 - t
-        one_minus_zp = -np.expm1(p * np.log1p(-t))
-        good = one_minus_zp > 0.0
-        safe = np.where(good, one_minus_zp, 1.0)
-        return np.where(good, safe**beta * z ** (s - 1.0), 0.0) * m * w ** (m - 1.0)
-
-    return _gl(0.0, 1.0, fn)
-
-
-def radial_power_integral(beta: float, s: float, p: float, R: float) -> float:
-    """int_0^R (R^p - r^p)^beta r^(s-1) dr."""
-    if R <= 0.0:
-        return 0.0
-    return R ** (s + p * beta) * _scaled_power_integral(float(beta), float(s), float(p))
+def _beta(a: float, b: float) -> float:
+    """B(a, b); through lgamma once Gamma(a + b) would overflow (alpha >~ 170)."""
+    if a + b < 170.0:
+        return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 def _generic_radial(fn, s: float, R: float) -> float:
-    """Panel Gauss-Legendre of fn(R^p - r^p)-style integrands times r^(s-1).
+    """Panel Gauss-Legendre of fn(r) r^(s-1) on [0, R].
 
-    ``fn`` receives r directly. Panels shrink geometrically toward r = R,
-    where catalogue-free integrands may lose smoothness, and toward r = 0,
-    where r^p has a kink for non-integer p.
+    Panels shrink geometrically toward r = R, where catalogue-free
+    integrands may lose smoothness, and toward r = 0, where r^p has a kink
+    for non-integer p.
+    """
+    halves = 0.5 ** np.arange(11, 0, -1)  # 2^-11 ... 2^-1
+    cuts = [0.0, *(halves * R), *((1.0 - halves[::-1][1:]) * R), R]
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        r = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
+        total += 0.5 * (b - a) * float(np.dot(_GL_WEIGHTS, fn(r) * r ** (s - 1.0)))
+    return total
+
+
+def _ball_integral(f: FunctionFamily, p: float, n: int, R: float, closed, integrand) -> float:
+    """int_0^R h n w_n r^(n-1) dr over one ball profile of radius R, t = R^p - r^p.
+
+    The power catalogue takes ``closed(J)``, the integral written in the
+    exact moments J(beta, s) = int_0^R t^beta r^(s-1) dr
+    = R^(s + p beta) B(s/p, beta + 1) / p; a custom family integrates
+    h = ``integrand(t, r^p)`` by quadrature.
     """
     if R <= 0.0:
         return 0.0
-    halves = 0.5 ** np.arange(11, 0, -1)  # 2^-11 ... 2^-1
-    cuts = [0.0, *(halves * R), *((1.0 - halves[::-1][1:]) * R), R]
-    return sum(
-        _gl(a, b, lambda r: fn(r) * r ** (s - 1.0))
-        for a, b in zip(cuts[:-1], cuts[1:])
-    )
+    nwn = n * unit_ball_volume(n)
+    if f.is_power_shaped:
+        return nwn * closed(lambda beta, s: R ** (s + p * beta) * _beta(s / p, beta + 1.0) / p)
+    return nwn * _generic_radial(lambda r: integrand(R**p - r**p, r**p), n, R)
+
+
+# The ball integrals; for the power catalogue k(t) = kappa t^alpha.
 
 
 def mass_of_radius(f: FunctionFamily, p: float, n: int, R: float) -> float:
     """Mass of one ball-supported profile: int_0^R k(R^p - r^p) n w_n r^(n-1) dr."""
-    if R <= 0.0:
-        return 0.0
-    nwn = n * unit_ball_volume(n)
-    if f.is_power_shaped:
-        return f.kappa * nwn * radial_power_integral(f.alpha, n, p, R)
-    return nwn * _generic_radial(lambda r: f.k(R**p - r**p), n, R)
+    return _ball_integral(f, p, n, R, lambda J: f.kappa * J(f.alpha, n), lambda t, rp: f.k(t))
 
 
 def kprime_radial_integral(f: FunctionFamily, p: float, n: int, R: float) -> float:
     """int_0^R k'(R^p - r^p) n w_n r^(n-1) dr (denominator of the energy curvature)."""
-    if R <= 0.0:
-        return 0.0
-    nwn = n * unit_ball_volume(n)
-    if f.is_power_shaped:
-        return f.kappa * f.alpha * nwn * radial_power_integral(f.alpha - 1.0, n, p, R)
-    return nwn * _generic_radial(lambda r: f.k_prime(R**p - r**p), n, R)
+    return _ball_integral(
+        f, p, n, R, lambda J: f.kappa * f.alpha * J(f.alpha - 1.0, n), lambda t, rp: f.k_prime(t)
+    )
+
+
+def _ball_transport_cost(f: FunctionFamily, p: float, n: int, R: float) -> float:
+    """Transport cost of one ball profile: int_0^R k(R^p - r^p) r^p n w_n r^(n-1) dr."""
+    closed = lambda J: f.kappa * J(f.alpha, n + p)
+    return _ball_integral(f, p, n, R, closed, lambda t, rp: f.k(t) * rp)
+
+
+def _profile_cost(f: FunctionFamily, p: float, n: int, R: float) -> float:
+    """Spread plus transport cost of one ball profile of radius R.
+
+    int_0^R [f(k(R^p - r^p)) + k(R^p - r^p) r^p] n w_n r^(n-1) dr. For the
+    power catalogue the spread is p alpha / n times the transport cost
+    (B(s, b + 1) / B(s + 1, b) = b / s and a kappa^(q-1) (alpha + 1) = alpha).
+    """
+    closed = lambda J: (1.0 + p * f.alpha / n) * f.kappa * J(f.alpha, n + p)
+    return _ball_integral(f, p, n, R, closed, lambda t, rp: f.f(f.k(t)) + f.k(t) * rp)
 
 
 def radius_of_mass(f: FunctionFamily, p: float, n: int, m):

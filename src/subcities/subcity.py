@@ -15,30 +15,11 @@ import numpy as np
 from .errors import MassOutOfRange
 from .functionals import ConcentrationFamily, FunctionFamily
 from .semidiscrete import (
-    _generic_radial,
+    _profile_cost,
     kprime_radial_integral,
     mass_of_radius,
-    radial_power_integral,
     radius_of_mass,
-    unit_ball_volume,
 )
-
-
-def _profile_cost(f: FunctionFamily, p: float, n: int, R: float) -> float:
-    """Spread plus transport cost of one ball profile of radius R.
-
-    int_0^R [f(k(R^p - r^p)) + k(R^p - r^p) r^p] n w_n r^(n-1) dr
-    """
-    if R <= 0.0:
-        return 0.0
-    nwn = n * unit_ball_volume(n)
-    if f.is_power_shaped:
-        # f(k(t)) = a kappa^q t^(alpha+1) for the power catalogue
-        spread = f.a * f.kappa**f.q * radial_power_integral(f.alpha + 1.0, n, p, R)
-        move = f.kappa * radial_power_integral(f.alpha, n + p, p, R)
-        return nwn * (spread + move)
-    kk = lambda r: f.k(R**p - r**p)
-    return nwn * _generic_radial(lambda r: f.f(kk(r)) + kk(r) * r**p, n, R)
 
 
 def _on_masses(f: FunctionFamily, m, allow_zero: bool, closed, quadrature):

@@ -233,6 +233,32 @@ class TestConfigHandling:
 
 
 class TestValidateMode:
+    def test_bounded_runs_use_the_configured_tolerances(self, tmp_path, monkeypatch):
+        from subcities import cli
+
+        seen, solve_bounded = [], cli.solve_bounded
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs)
+            return solve_bounded(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_bounded", recording)
+        cfg = write_config(
+            tmp_path,
+            {
+                **BASE,
+                "domain": [[0.0, 1.0]],
+                "rounds": 1,
+                "tolerances": {"mass_balance": 3e-6, "newton_max_iter": 77},
+                "validate": {"grid": 16, "sites": [[0.3], [0.7]], "mass_units": 6},
+            },
+        )
+        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert len(seen) == 3  # one per nonempty site subset
+        for kwargs in seen:
+            assert kwargs["tol"] == 3e-6 and kwargs["max_iter"] == 77
+            assert kwargs["resolution"] == (16,)
+
     def test_tiny_instance(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -41,6 +41,15 @@ class TestMakeGridDensity:
         with pytest.raises(NegativeDensity):
             make_grid_density(box1d(), 2, [1, -0.1])
 
+    def test_scalar_resolution_covers_every_axis(self):
+        square = Domain.box([(0, 1), (0, 2)])
+        assert Grid(square, 3).resolution == (3, 3)
+        assert Grid(square, [3, 4]).resolution == (3, 4)
+        assert Grid(square, np.int64(5)).resolution == (5, 5)
+        assert make_grid_density(square, 2, np.ones(4)).resolution == (2, 2)
+        with pytest.raises(ValueError):
+            Grid(square, (3,))
+
     def test_rejects_unbounded(self):
         with pytest.raises(UnboundedDomain):
             make_grid_density(Domain.unbounded(1), 2, [1, 1])

@@ -24,7 +24,12 @@ from subcities import (
     solve_discrete_transport,
     solve_weights,
 )
-from subcities.semidiscrete import unit_ball_volume
+from subcities.semidiscrete import (
+    _ball_transport_cost,
+    _profile_cost,
+    kprime_radial_integral,
+    unit_ball_volume,
+)
 
 R1_1D = (3.0 / 4.0) ** (1.0 / 3.0)  # quadratic f, p=2, n=1, unit mass
 
@@ -76,6 +81,53 @@ class TestMassRadius:
             radius_of_mass(quadratic(), 2.0, 1, 0.0)
         with pytest.raises(MassOutOfRange):
             radius_of_mass(quadratic(), 2.0, 1, 1.5)
+
+
+class TestBallIntegralsExact:
+    """The power catalogue's ball integrals against scipy's Beta function.
+
+    With t = R^p - r^p and J(beta, s) = int_0^R t^beta r^(s-1) dr
+    = R^(s + p beta) B(s/p, beta + 1) / p, the mass is kappa J(alpha, n),
+    the k' integral kappa alpha J(alpha - 1, n), the transport cost
+    kappa J(alpha, n + p) and the spread a kappa^q J(alpha + 1, n), each
+    times n w_n.
+    """
+
+    @staticmethod
+    def _expected(f, p, n, R):
+        beta = pytest.importorskip("scipy.special").beta
+        J = lambda b, s: R ** (s + p * b) * beta(s / p, b + 1.0) / p
+        nwn, k = n * unit_ball_volume(n), f.kappa
+        transport = nwn * k * J(f.alpha, n + p)
+        return {
+            mass_of_radius: nwn * k * J(f.alpha, n),
+            kprime_radial_integral: nwn * k * f.alpha * J(f.alpha - 1.0, n),
+            _ball_transport_cost: transport,
+            _profile_cost: nwn * f.a * k**f.q * J(f.alpha + 1.0, n) + transport,
+        }
+
+    @pytest.mark.parametrize("q", [1.01, 1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_against_the_beta_function(self, q, p, n):
+        f = power_f(1.3, q)
+        for R in (0.3, 1.0, 1.7):
+            for fn, want in self._expected(f, p, n, R).items():
+                assert fn(f, p, n, R) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_quadratic_mass_at_p_one_and_a_half(self):
+        # m(R) = 2 int_0^R (R^1.5 - r^1.5) dr = 1.2 R^2.5
+        for R in (0.1, 0.5, 1.0, 2.0):
+            got = mass_of_radius(quadratic(), 1.5, 1, R)
+            assert got == pytest.approx(1.2 * R**2.5, rel=1e-12, abs=0.0)
+
+    def test_finite_near_q_one(self):
+        # alpha = 1000: Gamma(a + b) alone would overflow
+        f = power_f(1.0, 1.001)
+        for fn, want in self._expected(f, 1.5, 2, 1.0).items():
+            got = fn(f, 1.5, 2, 1.0)
+            assert np.isfinite(got) and got > 0.0
+            assert got == pytest.approx(want, rel=1e-10)
 
 
 def _invert_by_mass_of_radius(f, p, n, m):

@@ -276,13 +276,10 @@ class TestOneMassRadiusLaw:
     def test_closed_form_matches_the_quadrature_route(self, p, n):
         # both routes share g, so the profile parts are compared: R, E - g,
         # E' - g' = R^p and E'' - g'' (E'' itself crosses 0 near m = 0.4).
-        # The routes' masses differ by up to 1.2e-10 relative: the quadrature
+        # The closed form is exact to rounding (Beta functions), and so is
+        # the quadrature route's mass; they differ because the quadrature
         # route's bisection stops at a mass error of 1e-13 (1e-10 of m =
-        # 1e-3), and at p = 1.5 the closed form's mass m(1) is 1.2e-10 high
-        # (its 64-point rule meets the z^1.5 kink at z = 0 unsubstituted
-        # when alpha is an integer; the quadrature route, graded toward
-        # r = 0, is exact to 2e-16 there). E - g ~ m^((e+p)/e) carries
-        # either as up to 2e-10.
+        # 1e-3), which E - g ~ m^((e+p)/e) carries as up to ~1.5e-10.
         g, custom = power_g(0.7, 0.4), _custom_quadratic()
         parts = [
             _radius,
