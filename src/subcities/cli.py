@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, NoConvergence, SubcitiesError
 from .functionals import ConcentrationFamily, FunctionFamily, eval_G
-from .measures import AtomicMeasure, Domain, Grid
+from .measures import AtomicMeasure, Domain, Grid, per_axis
 from .oracle import BruteForceInstance, brute_force_full, compare_solutions
 from .planner import (
     PlanSolution,
@@ -70,8 +71,7 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         self.resolution = raw.get("grid", 64)
-        res = self.resolution
-        cells = int(np.prod(res)) if isinstance(res, (list, tuple)) else int(res) ** self.n
+        cells = math.prod(per_axis(self.resolution, self.n))
         if cells > _GRID_CELL_GUARD:
             raise ConfigError(f"grid of {cells} cells exceeds the guard limit")
         self.domain_bounds = raw.get("domain")

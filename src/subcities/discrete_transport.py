@@ -1,36 +1,34 @@
 """Exact discrete transport: optimal couplings, costs, and dual potentials.
 
-The solver is a successive-shortest-paths min-cost flow on the bipartite
-transportation graph. Masses are rescaled to integer units (fixed
+The solver is a primal-dual successive-shortest-paths min-cost flow on the
+bipartite transportation graph. Masses are rescaled to integer units (fixed
 denominator 1e9) so flows are exact integers and marginals are met exactly in
-quantized units; the quantization residual is reported on the plan. Node
-potentials maintained by the algorithm provide an optimality certificate:
-they are dual-feasible everywhere and complementary-slack on the support.
+quantized units; the quantization residual is reported on the plan. The
+returned potentials certify optimality: they are dual-feasible everywhere and
+complementary-slack on the support.
 
-The flow starts from the cheapest assignment under optional target prices:
-every source sends its whole supply to the target minimizing cost minus
-price (its nearest target at zero prices), which is optimal for the
-potentials it comes with. Successive shortest paths then move only the
-excess, from the targets that received too much to those that received too
-little, so a tall instance takes a few dozen augmentations instead of about
-one per source, and a handful when the prices are the dual weights of a
-weight solve. Each shortest-path search labels only the k nodes of the
-smaller side (a wide instance is solved transposed). A path alternates
-sides, so a label moves from one of those nodes to another back along one
-of its flow edges and forward on a second edge of the same opposite-side
-node; those exchange costs are taken over all opposite-side nodes at once
-with numpy, for every node on the current smallest label together. This
-suits the production shape: n grid cells against k atoms.
+The flow starts from the cheapest assignment under optional target prices
+(every source on the target minimizing cost minus price) and then moves only
+the excess, from the targets that received too much to those short of their
+demand. Searches run over the k nodes of the smaller side (a wide instance is
+solved transposed) through a k x k matrix of the cheapest exchange between
+two of them via one node of the other side, and each search tree serves
+every short node it reaches. This suits the production shape: n grid cells
+against k atoms.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyCloud, NoConvergence, SubcitiesError, UnbalancedMasses
 from .measures import WeightedPointCloud
+
+_log = logging.getLogger("subcities")
 
 DEFAULT_DENOMINATOR = 10**9
 _COST_MATRIX_GUARD = 10**8  # no full pairwise matrix above 1e4 x 1e4 points
@@ -100,108 +98,107 @@ class TransportPlan:
     def dump_csv(self, path) -> None:
         lines = ["i,j,mass"]
         lines += [f"{i},{j},{m!r}" for i, j, m in self.flows]
-        from pathlib import Path
-
         Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _exchange_row(cost: np.ndarray, flow: np.ndarray, j: int):
+    """For every target j', min over the sources i on target j of
+    c(i, j') - c(i, j), and the first source attaining it (-1 if j has none)."""
+    rows = np.flatnonzero(flow[:, j])
+    if len(rows) == 0:
+        return np.inf, -1
+    gain = cost[rows] - cost[rows, j][:, None]
+    best = gain.argmin(axis=0)
+    return gain[best, np.arange(cost.shape[1])], rows[best]
+
+
 def _ssp(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray, prices=None):
-    """Successive shortest paths from the cheapest assignment under ``prices``.
+    """Primal-dual successive shortest paths from the cheapest assignment.
 
     Returns a dense integer flow matrix plus potentials (psi, psi_c)
     satisfying psi_i + psi_c_j <= c_ij with equality on every flow-carrying
-    pair. Target j starts at potential phi_t_j = prices_j (0 without
-    prices), and every source first sends its whole supply to the first
-    ``argmin`` of its row of reduced = c - prices, with phi_s_i = -min_j
-    reduced_ij. Every reduced cost c_ij + phi_s_i - phi_t_j is then
-    nonnegative, and zero on every flow edge, whatever the prices, so they
-    only decide where the search starts: with zero prices each source goes
-    to its nearest target, with the dual weights of a converged weight solve
-    to its power-cell winner, which leaves only the mass residual to move.
-    Each round moves excess from the targets that received more than their
-    demand to one that received less, along a shortest path of exchanges
-    between targets (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9).
-    Shortest paths are labelled on the smaller side only; a wide instance is
-    solved transposed from zero prices and its potentials swapped back.
+    pair. Target j starts at potential phi_j = prices_j (0 without prices),
+    and every source sends its whole supply to the first ``argmin`` of its
+    row of c - phi: its nearest target at zero prices, its power-cell winner
+    at the dual weights of a weight solve, which leaves only the mass
+    residual to move. Every flow edge stays tight, so moving a unit from
+    target j to j' through a source on j has reduced cost B[j, j'] + phi_j -
+    phi_j' >= 0, where B[j, j'] = min over the sources i on j of
+    c(i, j') - c(i, j) depends on the support only. Each search runs
+    Bellman-Ford from every target with excess over these m x m costs,
+    relaxing only the rows whose label improved, to a full shortest-path
+    tree, adds its labels to phi, and augments along the tree path of every
+    short target, nearest first (Ahuja, Magnanti & Orlin, *Network Flows*,
+    1993, sections 9.7-9.8); a path through an exchange that an earlier
+    augmentation changed waits for the next search. The bottleneck is
+    each (source, target) cell's net change, as a path can pass through one
+    source twice. psi is the c-transform of phi. A wide instance is solved
+    transposed from zero prices and its potentials swapped back.
     """
     n, m = cost.shape
     if n < m:
         flow, psi_c, psi = _ssp(cost.T, demand, supply)
         return flow.T, psi, psi_c
-    phi_t = np.zeros(m) if prices is None else np.array(prices, dtype=float)
-    reduced = cost - phi_t
-    nearest = reduced.argmin(axis=1)
-    phi_s = -reduced[np.arange(n), nearest]
+    phi = np.zeros(m) if prices is None else np.array(prices, dtype=float)
+    nearest = (cost - phi).argmin(axis=1)
     flow = np.zeros((n, m), dtype=np.int64, order="F")  # columns are scanned
     flow[np.arange(n), nearest] = supply
     excess = flow.sum(axis=0) - demand
+    exchange = np.empty((m, m))
+    via = np.empty((m, m), dtype=np.int64)  # the source each exchange runs through
+    for j in range(m):
+        exchange[j], via[j] = _exchange_row(cost, flow, j)
     cols = np.arange(m)
-    rounds = 0
+    searches = augmentations = 0
     while (excess > 0).any():
-        rounds += 1
-        if rounds > 50 * (n + m) + 1000:
+        searches += 1
+        if searches > 50 * (n + m) + 1000:
             raise NoConvergence("augmentation guard tripped in transport solve")
-        # Dijkstra over the targets from every target with excess, at
-        # distance 0: a label reaches target j' from a settled target j back
-        # along one of j's flow edges (i, j) and forward on (i, j'). ``key``
-        # holds tentative labels of unsettled targets, ``dist`` the settled
-        # ones; sources get their labels on the way. All targets on the
-        # smallest label are settled together (zero-cost exchanges make many
-        # of them share label 0), and the search stops at a level holding a
-        # target short of its demand.
-        key = np.where(excess > 0, 0.0, np.inf)
-        pred_src = np.full(m, -1, dtype=np.int64)
-        pred_tgt = np.full(m, -1, dtype=np.int64)
-        dist = np.full(m, np.inf)
-        unsettled = np.ones(m, dtype=bool)
-        dist_s = np.full(n, np.inf)
-        while True:
-            d = key.min()
-            if d == np.inf:
-                raise NoConvergence("no augmenting path found in transport solve")
-            level = np.flatnonzero(key == d)
-            dist[level] = d
-            key[level] = np.inf
-            unsettled[level] = False
-            short = level[excess[level] < 0]
-            if len(short):
-                break
-            rows, at = np.nonzero(flow[:, level])
-            if len(rows) == 0:
-                continue
-            via_tgt = level[at]
-            via = d + np.maximum(phi_t[via_tgt] - phi_s[rows] - cost[rows, via_tgt], 0.0)
-            np.minimum.at(dist_s, rows, via)
-            cand = via[:, None] + np.maximum(
-                cost[rows] + (phi_s[rows, None] - phi_t), 0.0
-            )
+        # every target is reached: a target with excess holds a source, and
+        # a source can exchange toward every target
+        reduced = np.maximum(exchange + (phi[:, None] - phi), 0.0)
+        dist = np.where(excess > 0, 0.0, np.inf)
+        pred = np.full(m, -1)
+        improved = np.flatnonzero(excess > 0)
+        while len(improved):
+            cand = dist[improved, None] + reduced[improved]
             best = cand.argmin(axis=0)
             nd = cand[best, cols]
-            better = (nd < key) & unsettled
-            key[better] = nd[better]
-            pred_src[better] = rows[best[better]]
-            pred_tgt[better] = via_tgt[best[better]]
-        # potential update keeps reduced costs nonnegative; unsettled nodes
-        # sit at d or beyond
-        if d > 0.0:
-            phi_s += np.minimum(dist_s, d)
-            phi_t += np.minimum(dist, d)
-        # trace the path back to a target with excess, find the bottleneck,
-        # apply
-        t_star = j = int(short[0])
-        path = []
-        while pred_tgt[j] >= 0:
-            path.append((int(pred_src[j]), j, int(pred_tgt[j])))
-            j = int(pred_tgt[j])
-        delta = min(int(excess[j]), int(-excess[t_star]))
-        for i, _, jb in path:
-            delta = min(delta, int(flow[i, jb]))
-        for i, jf, jb in path:
-            flow[i, jf] += delta
-            flow[i, jb] -= delta
-        excess[j] -= delta
-        excess[t_star] += delta
-    return flow, -phi_s, phi_t
+            better = nd < dist
+            dist[better] = nd[better]
+            pred[better] = improved[best[better]]
+            improved = np.flatnonzero(better)
+        phi += dist
+        tight = exchange[pred, cols]  # each tree edge's exchange cost
+        short = np.flatnonzero(excess < 0)
+        for t in short[np.argsort(dist[short], kind="stable")]:
+            path, j = [], t
+            while pred[j] >= 0 and exchange[pred[j], j] == tight[j]:
+                path.append((via[pred[j], j], j, pred[j]))
+                j = pred[j]
+            if pred[j] >= 0 or excess[j] <= 0:
+                continue
+            net = {}
+            for i, jf, jb in path:
+                net[i, jf] = net.get((i, jf), 0) + 1
+                net[i, jb] = net.get((i, jb), 0) - 1
+            delta = min(
+                [int(excess[j]), int(-excess[t])] + [int(flow[c]) for c, step in net.items() if step < 0]
+            )
+            for (i, jj), step in net.items():
+                flow[i, jj] += step * delta
+                if flow[i, jj] == 0:
+                    exchange[jj], via[jj] = _exchange_row(cost, flow, jj)
+                elif step > 0:
+                    gain = cost[i] - cost[i, jj]
+                    lower = gain < exchange[jj]
+                    exchange[jj, lower] = gain[lower]
+                    via[jj, lower] = i
+            excess[j] -= delta
+            excess[t] += delta
+            augmentations += 1
+    _log.debug("transport %dx%d: %d searches, %d augmentations", n, m, searches, augmentations)
+    return flow, (cost - phi).min(axis=1), phi
 
 
 def solve_discrete_transport(

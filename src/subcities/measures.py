@@ -88,6 +88,11 @@ class Domain:
             raise UnboundedDomain("operation requires a bounded domain")
 
 
+def per_axis(resolution, dim: int) -> tuple[int, ...]:
+    """One cell count per axis from an int (every axis) or a per-axis sequence."""
+    return (int(resolution),) * dim if np.isscalar(resolution) else tuple(int(r) for r in resolution)
+
+
 @dataclass(frozen=True)
 class Grid:
     """A regular cell-centered grid over a bounded box domain.
@@ -100,8 +105,7 @@ class Grid:
 
     def __post_init__(self):
         self.domain._require_bounded()
-        res = self.resolution
-        res = (int(res),) * self.domain.dim if np.isscalar(res) else tuple(int(r) for r in res)
+        res = per_axis(self.resolution, self.domain.dim)
         object.__setattr__(self, "resolution", res)
         if len(res) != self.domain.dim:
             raise ValueError("resolution must give one cell count per axis")

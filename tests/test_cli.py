@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
-from subcities.cli import main
+from subcities.cli import _GRID_CELL_GUARD, RunConfig, main
+from subcities.errors import ConfigError
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -225,6 +227,13 @@ class TestConfigHandling:
         report = json.loads((out / "report.json").read_text())
         assert report["seed"] == 99
         assert report["config"]["seed"] == 99
+
+    def test_grid_cell_guard_scalar_and_per_axis(self):
+        side = math.isqrt(_GRID_CELL_GUARD) + 1  # side**2 cells exceed the guard
+        for grid in (side, [side, side]):
+            with pytest.raises(ConfigError, match=f"grid of {side**2} cells exceeds the guard"):
+                RunConfig({**BASE, "mode": "plan-rn", "n": 2, "grid": grid})
+        RunConfig({**BASE, "mode": "plan-rn", "n": 2, "grid": [side - 1, side - 1]})
 
     def test_bad_mode_rejected(self, tmp_path):
         cfg = write_config(tmp_path, BASE)

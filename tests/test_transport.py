@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -136,6 +139,42 @@ class TestDegenerateStarts:
             assert_certified(plan)
             flipped = solve_discrete_transport(tgt, src, 2.0)
             assert flipped.total_cost == pytest.approx(plan.total_cost, abs=1e-12)
+
+
+def criterion_1_instance(trial):
+    """Instance ``trial`` of acceptance criterion 1's draw (``default_rng(101)``)."""
+    rng = np.random.default_rng(101)
+    for _ in range(trial + 1):
+        sizes = int(rng.integers(5, 51)), int(rng.integers(5, 51))
+        clouds = []
+        for size in sizes:
+            points = rng.random((size, 2))
+            w = rng.random(size) + 0.05
+            clouds.append(WeightedPointCloud(points, w / w.sum()))
+    return clouds[0], clouds[1], (1.0, 1.5, 2.0)[trial % 3]
+
+
+class TestSearchTree:
+    """One shortest-path tree serves every short target it reaches."""
+
+    def test_path_through_one_source_twice(self):
+        # a tree path here runs 35 -> 23 -> 25 through source 41 both times;
+        # flow[41, 23] does not change, so it must not bound the augmentation,
+        # else every search moves the same few units until the guard trips
+        src, tgt, p = criterion_1_instance(29)
+        assert (len(src), len(tgt), p) == (49, 38, 2.0)
+        assert_certified(solve_discrete_transport(src, tgt, p))
+
+    def test_searches_and_augmentations_logged(self, caplog):
+        rng = np.random.default_rng(16)
+        src, tgt = random_instance(rng, 40, 40)
+        with caplog.at_level(logging.DEBUG, logger="subcities"):
+            solve_discrete_transport(src, tgt, 2.0)
+            solve_discrete_transport(src, WeightedPointCloud([[0.5, 0.5]], [1.0]), 2.0)
+        [message] = [r.getMessage() for r in caplog.records if "searches" in r.getMessage()]
+        searches, augmentations = map(int, re.search(r"(\d+) searches, (\d+) augm", message).groups())
+        assert message.startswith("transport 40x40:")
+        assert 1 <= searches < augmentations  # some search served several short targets
 
 
 class TestQuantization:

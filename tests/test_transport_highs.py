@@ -3,11 +3,15 @@
 Every weight is a multiple of 1/1000, so the solver's integer mass units
 represent both marginals exactly and both solvers solve the same LP. Shapes
 cover tall n x k clouds (the production shape), their transposes, square
-instances, and degenerate ties, each at p in {1, 1.5, 2}; the tall
+instances (up to 61 x 60, where one search tree serves several short
+targets), and degenerate ties, each at p in {1, 1.5, 2}; the tall
 instances are also solved from target prices. Random points
 make the tall, wide and square instances tie-free, so their optimal plan is
 unique and the whole flow matrix is compared, not only the optimal value.
 """
+
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +133,18 @@ def test_square(p):
     )
 
 
+@pytest.mark.parametrize("p", EXPONENTS)
+@pytest.mark.parametrize("n, m", [(60, 60), (61, 60), (60, 61)])
+def test_square_search_serves_several_targets(n, m, p, caplog):
+    rng = np.random.default_rng(310 + n + 2 * m)
+    src, tgt = cloud(rng, rng.random((n, 2))), cloud(rng, rng.random((m, 2)))
+    with caplog.at_level(logging.DEBUG, logger="subcities"):
+        assert_matches_highs(src, tgt, p, unique=True)
+    [message] = [r.getMessage() for r in caplog.records if "searches" in r.getMessage()]
+    searches, augmentations = map(int, re.search(r"(\d+) searches, (\d+) augm", message).groups())
+    assert searches < augmentations
+
+
 def duplicate_sources(rng):
     """Each source point appears three times; targets are distinct."""
     pts = np.repeat(rng.random((10, 2)), 3, axis=0)
@@ -145,14 +161,21 @@ def equidistant_targets(rng):
     return cloud(rng, src), cloud(rng, tgt)
 
 
-def collinear_lattice(rng):
+def collinear_lattice(rng, size=30):
     """1-D integer points: many equal costs, and many optimal plans at p = 1."""
-    return cloud(rng, rng.integers(0, 6, (30, 1))), cloud(rng, rng.integers(0, 6, (30, 1)))
+    return cloud(rng, rng.integers(0, 6, (size, 1))), cloud(rng, rng.integers(0, 6, (size, 1)))
 
 
 @pytest.mark.parametrize("p", EXPONENTS)
 @pytest.mark.parametrize("make", [duplicate_sources, equidistant_targets, collinear_lattice])
 def test_degenerate_ties(make, p):
     src, tgt = make(np.random.default_rng(400))
+    assert_matches_highs(src, tgt, p)
+    assert_matches_highs(tgt, src, p)
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+def test_degenerate_ties_square_60(p):
+    src, tgt = collinear_lattice(np.random.default_rng(401), 60)
     assert_matches_highs(src, tgt, p)
     assert_matches_highs(tgt, src, p)
