@@ -7,14 +7,15 @@ quantized units; the quantization residual is reported on the plan. The
 returned potentials certify optimality: they are dual-feasible everywhere and
 complementary-slack on the support.
 
-The flow starts from the cheapest assignment under optional target prices
-(every source on the target minimizing cost minus price) and then moves only
-the excess, from the targets that received too much to those short of their
-demand. Searches run over the k nodes of the smaller side (a wide instance is
-solved transposed) through a k x k matrix of the cheapest exchange between
-two of them via one node of the other side, and each search tree serves
-every short node it reaches. This suits the production shape: n grid cells
-against k atoms.
+The flow starts from the cheapest assignment under target prices (every
+source on the target minimizing cost minus price), which in the production
+shape, n grid cells against k << n atoms, a few coordinate sweeps first set
+near each target's demand. It then moves only the excess, from the targets
+that received too much to those short. Searches run over the k nodes of the
+smaller side (a wide instance is solved transposed) through a k x k matrix
+of the cheapest exchange between two of them via one node of the other
+side; each search tree augments every short node it reaches while its path
+stays tight.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ _log = logging.getLogger("subcities")
 
 DEFAULT_DENOMINATOR = 10**9
 _COST_MATRIX_GUARD = 10**8  # no full pairwise matrix above 1e4 x 1e4 points
+_TALL = 16  # sources per target from which balancing (n m^2 work a sweep) pays
+_BALANCE_SWEEPS = 3
 
 
 def _pairwise_cost(xs: np.ndarray, ys: np.ndarray, p: float) -> np.ndarray:
@@ -112,34 +115,61 @@ def _exchange_row(cost: np.ndarray, flow: np.ndarray, j: int):
     return gain[best, np.arange(cost.shape[1])], rows[best]
 
 
+def _balance(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Target prices from Gauss-Seidel sweeps (Kitagawa, Merigot & Thibert
+    2019; Bertsekas & Castanon 1989): source i leaves its cheapest other
+    target for j once phi_j passes c_ij - min over k != j of (c_ik - phi_k),
+    so phi_j goes between the two sorted thresholds where the cumulative
+    supply crosses demand_j. Sweeps stop once every load is within one
+    source's supply of its demand, or undo the first sweep that does not
+    lower the total excess (a tied run of sources shares one threshold)."""
+    best = np.inf
+    for sweep in range(_BALANCE_SWEEPS + 1):
+        reduced = cost - phi
+        off = np.abs(np.bincount(reduced.argmin(axis=1), weights=supply, minlength=len(phi)) - demand)
+        if off.sum() >= best:
+            return kept
+        best, kept = off.sum(), phi.copy()
+        if off.max() <= supply.max() or sweep == _BALANCE_SWEEPS:
+            return kept
+        for j in range(len(phi)):
+            reduced[:, j] = np.inf
+            tau = cost[:, j] - reduced.min(axis=1)
+            order = np.argsort(tau, kind="stable")
+            r = np.clip(np.searchsorted(np.cumsum(supply[order]), demand[j], side="right"), 1, len(supply) - 1)
+            phi[j] = 0.5 * (tau[order[r - 1]] + tau[order[r]])
+            reduced[:, j] = cost[:, j] - phi[j]
+
+
 def _ssp(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray, prices=None):
     """Primal-dual successive shortest paths from the cheapest assignment.
 
-    Returns a dense integer flow matrix plus potentials (psi, psi_c)
-    satisfying psi_i + psi_c_j <= c_ij with equality on every flow-carrying
-    pair. Target j starts at potential phi_j = prices_j (0 without prices),
-    and every source sends its whole supply to the first ``argmin`` of its
-    row of c - phi: its nearest target at zero prices, its power-cell winner
-    at the dual weights of a weight solve, which leaves only the mass
-    residual to move. Every flow edge stays tight, so moving a unit from
-    target j to j' through a source on j has reduced cost B[j, j'] + phi_j -
-    phi_j' >= 0, where B[j, j'] = min over the sources i on j of
-    c(i, j') - c(i, j) depends on the support only. Each search runs
+    Returns a dense integer flow matrix and potentials (psi, psi_c) with
+    psi_i + psi_c_j <= c_ij, equal on every flow-carrying pair. Target j
+    starts at potential phi_j = prices_j (0 without prices), balanced
+    (``_balance``) given ``_TALL`` sources per target, and every source
+    sends its whole supply to the first ``argmin`` of its row of c - phi;
+    any phi keeps the solve exact. Every flow edge stays tight, so moving a
+    unit from target j to j' through a source on j has reduced cost
+    B[j, j'] + phi_j - phi_j' >= 0, where B[j, j'] = min over the sources i
+    on j of c(i, j') - c(i, j) depends on the support only. Each search runs
     Bellman-Ford from every target with excess over these m x m costs,
     relaxing only the rows whose label improved, to a full shortest-path
     tree, adds its labels to phi, and augments along the tree path of every
     short target, nearest first (Ahuja, Magnanti & Orlin, *Network Flows*,
-    1993, sections 9.7-9.8); a path through an exchange that an earlier
-    augmentation changed waits for the next search. The bottleneck is
-    each (source, target) cell's net change, as a path can pass through one
-    source twice. psi is the c-transform of phi. A wide instance is solved
-    transposed from zero prices and its potentials swapped back.
+    1993, sections 9.7-9.8), again while each exchange on the path keeps its
+    value at the search, so a tied run of sources moves in one search. A
+    path can pass through one source twice, so the bottleneck is over net
+    changes. psi is the c-transform of phi. A wide instance is solved
+    transposed, from zero prices.
     """
     n, m = cost.shape
     if n < m:
         flow, psi_c, psi = _ssp(cost.T, demand, supply)
         return flow.T, psi, psi_c
     phi = np.zeros(m) if prices is None else np.array(prices, dtype=float)
+    if n >= _TALL * m:
+        phi = _balance(cost, supply, demand, phi)
     nearest = (cost - phi).argmin(axis=1)
     flow = np.zeros((n, m), dtype=np.int64, order="F")  # columns are scanned
     flow[np.arange(n), nearest] = supply
@@ -172,31 +202,31 @@ def _ssp(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray, prices=None):
         tight = exchange[pred, cols]  # each tree edge's exchange cost
         short = np.flatnonzero(excess < 0)
         for t in short[np.argsort(dist[short], kind="stable")]:
-            path, j = [], t
-            while pred[j] >= 0 and exchange[pred[j], j] == tight[j]:
-                path.append((via[pred[j], j], j, pred[j]))
-                j = pred[j]
-            if pred[j] >= 0 or excess[j] <= 0:
-                continue
-            net = {}
-            for i, jf, jb in path:
-                net[i, jf] = net.get((i, jf), 0) + 1
-                net[i, jb] = net.get((i, jb), 0) - 1
-            delta = min(
-                [int(excess[j]), int(-excess[t])] + [int(flow[c]) for c, step in net.items() if step < 0]
-            )
-            for (i, jj), step in net.items():
-                flow[i, jj] += step * delta
-                if flow[i, jj] == 0:
-                    exchange[jj], via[jj] = _exchange_row(cost, flow, jj)
-                elif step > 0:
-                    gain = cost[i] - cost[i, jj]
-                    lower = gain < exchange[jj]
-                    exchange[jj, lower] = gain[lower]
-                    via[jj, lower] = i
-            excess[j] -= delta
-            excess[t] += delta
-            augmentations += 1
+            while excess[t] < 0:
+                path, j = [], t
+                while pred[j] >= 0 and exchange[pred[j], j] == tight[j]:
+                    path.append((via[pred[j], j], j, pred[j]))
+                    j = pred[j]
+                if pred[j] >= 0 or excess[j] <= 0:
+                    break
+                net = {}
+                for i, jf, jb in path:
+                    net[i, jf] = net.get((i, jf), 0) + 1
+                    net[i, jb] = net.get((i, jb), 0) - 1
+                drops = [int(flow[c]) for c, step in net.items() if step < 0]
+                delta = min([int(excess[j]), int(-excess[t])] + drops)
+                for (i, jj), step in net.items():
+                    flow[i, jj] += step * delta
+                    if flow[i, jj] == 0:
+                        exchange[jj], via[jj] = _exchange_row(cost, flow, jj)
+                    elif step > 0:
+                        gain = cost[i] - cost[i, jj]
+                        lower = gain < exchange[jj]
+                        exchange[jj, lower] = gain[lower]
+                        via[jj, lower] = i
+                excess[j] -= delta
+                excess[t] += delta
+                augmentations += 1
     _log.debug("transport %dx%d: %d searches, %d augmentations", n, m, searches, augmentations)
     return flow, (cost - phi).min(axis=1), phi
 
@@ -211,10 +241,10 @@ def solve_discrete_transport(
 
     The returned ``total_cost`` equals W_p^p of the two clouds. Degenerate
     shapes (a single source or a single target) have a forced plan and are
-    resolved directly without quantization. ``prices``, one per target,
-    start the solve from the cheapest assignment under c - prices (see
-    ``_ssp``); any prices give an optimal plan, and good ones (the dual
-    weights of a weight solve) leave less to move. A wide instance (fewer
+    resolved directly without quantization. The solve starts from the
+    cheapest assignment under c - ``prices`` (one per target, 0 if None),
+    which a tall instance first balances against the target weights (see
+    ``_ssp``); any prices give an optimal plan. A wide instance (fewer
     sources than targets) is solved transposed and ignores them.
     """
     if len(source) == 0 or len(target) == 0:

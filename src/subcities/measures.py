@@ -270,6 +270,8 @@ class WeightedPointCloud:
         weights = np.asarray(self.weights, dtype=float).ravel()
         if len(points) != len(weights):
             raise ValueError("points and weights must have equal length")
+        if not (np.isfinite(points).all() and np.isfinite(weights).all()):
+            raise ValueError("points and weights must be finite")
         if np.any(weights <= 0):
             raise ValueError("weights must be strictly positive")
         if abs(weights.sum() - 1.0) > INPUT_PROB_TOL:

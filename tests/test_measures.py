@@ -11,6 +11,7 @@ from subcities import (
     NonpositiveMass,
     NotProbability,
     UnboundedDomain,
+    WeightedPointCloud,
     ZeroMass,
     make_grid_density,
     normalize,
@@ -128,6 +129,24 @@ class TestAtomicMeasure:
         nu = AtomicMeasure([[0.2], [0.8]], [0.25, 0.75])
         assert nu.is_probability()
         assert not AtomicMeasure([[0.5]], [0.5]).is_probability()
+
+
+class TestWeightedPointCloud:
+    """Non-finite input is rejected at construction: a NaN weight passes
+    both the positivity and the unit-sum check, and a NaN point reaches the
+    transport solver's cost matrix."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WeightedPointCloud([[0.2], [0.5], [0.8]], [0.5, 0.5, bad])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_point_rejected(self, bad):
+        points = np.random.default_rng(0).random((256, 3))
+        points[17, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            WeightedPointCloud(points, np.full(256, 1 / 256))
 
 
 class TestSerialization:

@@ -1,11 +1,13 @@
 """Cross-check of the exact transport solver against scipy's HiGHS LP.
 
-Every weight is a multiple of 1/1000, so the solver's integer mass units
-represent both marginals exactly and both solvers solve the same LP. Shapes
-cover tall n x k clouds (the production shape), their transposes, square
+Every weight is a multiple of 1/1000 (1/10^6 for a weight solve's cells), so
+the solver's integer mass units represent both marginals exactly and both
+solvers solve the same LP. Shapes cover tall n x k clouds (the production
+shape, up to 900 x 3 from the balanced cold start), their transposes, square
 instances (up to 61 x 60, where one search tree serves several short
 targets), and degenerate ties, each at p in {1, 1.5, 2}; the tall
-instances are also solved from target prices. Random points
+instances are also solved from target prices, among them a weight solve's
+tied run. Random points
 make the tall, wide and square instances tie-free, so their optimal plan is
 unique and the whole flow matrix is compared, not only the optimal value.
 """
@@ -16,7 +18,19 @@ import re
 import numpy as np
 import pytest
 
-from subcities import WeightedPointCloud, solve_discrete_transport
+from subcities import (
+    AtomicMeasure,
+    Domain,
+    Grid,
+    WeightedPointCloud,
+    density_from_weights,
+    normalize,
+    quadratic,
+    solve_discrete_transport,
+    solve_weights,
+    to_point_cloud,
+)
+from subcities.discrete_transport import quantize_to_units
 
 optimize = pytest.importorskip("scipy.optimize")
 sparse = pytest.importorskip("scipy.sparse")
@@ -73,6 +87,12 @@ def assert_matches_highs(src, tgt, p, unique=False, prices=None):
     assert abs(plan.total_cost - dual) <= GAP_TOL
     assert max(plan.marginal_residuals()) <= MARGINAL_TOL
     assert (plan.dual_psi[:, None] + plan.dual_psi_c[None, :] - cost).max() <= FEASIBILITY_TOL
+
+
+def search_counts(caplog):
+    """(searches, augmentations) of the one exact solve logged."""
+    [message] = [r.getMessage() for r in caplog.records if "searches" in r.getMessage()]
+    return tuple(map(int, re.search(r"(\d+) searches, (\d+) augm", message).groups()))
 
 
 def tall_case(k, seed):
@@ -140,9 +160,59 @@ def test_square_search_serves_several_targets(n, m, p, caplog):
     src, tgt = cloud(rng, rng.random((n, 2))), cloud(rng, rng.random((m, 2)))
     with caplog.at_level(logging.DEBUG, logger="subcities"):
         assert_matches_highs(src, tgt, p, unique=True)
-    [message] = [r.getMessage() for r in caplog.records if "searches" in r.getMessage()]
-    searches, augmentations = map(int, re.search(r"(\d+) searches, (\d+) augm", message).groups())
+    searches, augmentations = search_counts(caplog)
     assert searches < augmentations
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+@pytest.mark.parametrize("n, m", [(900, 3), (600, 5)])
+def test_tall_cold_start_is_balanced(n, m, p, caplog):
+    """A cold tall solve first prices every target near its demand, so a
+    few searches finish it. From the nearest targets it made one search per
+    source that had to move: 74-649 on 20 random instances of each shape and
+    exponent, against at most 4 (900 x 3) and 13 (600 x 5) from the
+    balanced start."""
+    rng = np.random.default_rng(700 + n + m)
+    src, tgt = cloud(rng, rng.random((n, 2))), cloud(rng, rng.random((m, 2)))
+    with caplog.at_level(logging.DEBUG, logger="subcities"):
+        assert_matches_highs(src, tgt, p, unique=True)
+    searches, _ = search_counts(caplog)
+    assert searches <= 3 * m
+    # no prices and zero prices go through the same balancing
+    cold = solve_discrete_transport(src, tgt, p)
+    zero = solve_discrete_transport(src, tgt, p, np.zeros(m))
+    for name in ("flow_i", "flow_j", "flow_mass", "dual_psi", "dual_psi_c"):
+        assert np.array_equal(getattr(cold, name), getattr(zero, name))
+
+
+def on_lattice(weights, units=10**6):
+    return quantize_to_units(weights, units) / units
+
+
+def test_tied_run_moved_in_one_search(caplog):
+    """The warm LP of a p = 1 weight solve in 1-D: 512 cells and the four
+    collinear atoms of benchmark seed 1's mu-023, with the solved weights as
+    prices. Left of the first atom every pair of atoms' costs differs by a
+    constant, so those weights tie a run of 123 cells between the first two
+    atoms, and the optimum splits it. Each cell of the run moved leaves the
+    run's exchange value as it was, so one search moves them all (augmenting
+    once per search takes 112 searches, one cell each)."""
+    f = quadratic()
+    atoms = AtomicMeasure(
+        [[0.24099318117626756], [0.4108350275733299], [0.589943311653015], [0.7632397820405898]],
+        [0.16256099226504633, 0.2106267140467498, 0.2768924480854562, 0.3499198456027476],
+    )
+    grid = Grid(Domain.box([(0.0, 1.0)]), 512)
+    weights = solve_weights(atoms, f, 1.0, grid, tol=1.2e-3)
+    assert len(weights.split[0]) > 100  # the weight solve shares the tied run
+    cells = to_point_cloud(normalize(density_from_weights(atoms, weights, f, 1.0, grid)))
+    src = WeightedPointCloud(cells.points, on_lattice(cells.weights))
+    tgt = WeightedPointCloud(atoms.points, on_lattice(atoms.masses))
+    with caplog.at_level(logging.DEBUG, logger="subcities"):
+        assert_matches_highs(src, tgt, 1.0, prices=weights.c)
+    searches, augmentations = search_counts(caplog)
+    assert len(src) == 512
+    assert searches <= 2 and augmentations >= 10
 
 
 def duplicate_sources(rng):
