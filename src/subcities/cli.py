@@ -52,33 +52,40 @@ class RunConfig:
         self.mode = raw.get("mode")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        self.p = float(raw.get("p", 2.0))
-        if self.p < 1:
-            raise ConfigError("p must be >= 1")
-        self.n = int(raw.get("n", 2))
-        if self.n not in (1, 2):
-            raise ConfigError("n must be 1 or 2")
-        self.seed = int(raw.get("seed", 0))
-        self.k_max = int(raw.get("k_max", 6))
-        self.out = raw.get("out", "out")
-        self.dump_plans = bool(raw.get("dump_plans", False))
-        tols = dict(DEFAULT_TOLERANCES)
-        tols.update(raw.get("tolerances", {}))
-        self.tolerances = tols
         try:
+            self.p = float(raw.get("p", 2.0))
+            if self.p < 1:
+                raise ConfigError("p must be >= 1")
+            self.n = int(raw.get("n", 2))
+            if self.n not in (1, 2):
+                raise ConfigError("n must be 1 or 2")
+            self.seed = int(raw.get("seed", 0))
+            self.k_max = int(raw.get("k_max", 6))
+            self.tolerances = {**DEFAULT_TOLERANCES, **raw.get("tolerances", {})}
             self.f = _parse_f(raw.get("f", {"kind": "quadratic"}))
             self.g = _parse_g(raw.get("g", {"kind": "power", "b": 1.0, "r": 0.5}))
-        except ValueError as exc:
+            self.resolution = raw.get("grid", 64)
+            axes = per_axis(self.resolution, self.n)
+            self.domain_bounds = raw.get("domain")
+            if self.domain_bounds is not None:
+                _domain_from(self.domain_bounds, self.n)
+            self.atoms_spec = raw.get("atoms")
+            if self.atoms_spec:
+                _parse_atoms(self.atoms_spec, self.n)
+            self.rounds = int(raw.get("rounds", 12))
+            self.curve_samples = int(raw.get("curve_samples", 64))
+            self.curve_m_min = float(raw.get("curve_m_min", 1e-3))
+        except (TypeError, ValueError, LookupError, SubcitiesError) as exc:
             raise ConfigError(str(exc)) from exc
-        self.resolution = raw.get("grid", 64)
-        cells = math.prod(per_axis(self.resolution, self.n))
-        if cells > _GRID_CELL_GUARD:
-            raise ConfigError(f"grid of {cells} cells exceeds the guard limit")
-        self.domain_bounds = raw.get("domain")
-        self.atoms_spec = raw.get("atoms")
-        self.rounds = int(raw.get("rounds", 12))
-        self.curve_samples = int(raw.get("curve_samples", 64))
-        self.curve_m_min = float(raw.get("curve_m_min", 1e-3))
+        if len(axes) != self.n or min(axes) < 1:
+            raise ConfigError(f"grid must give {self.n} positive cell counts, got {self.resolution!r}")
+        if math.prod(axes) > _GRID_CELL_GUARD:
+            raise ConfigError(f"grid of {math.prod(axes)} cells exceeds the guard limit")
+        tol, max_iter = self.tolerances["mass_balance"], self.tolerances["newton_max_iter"]
+        if type(tol) not in (int, float) or not tol > 0 or type(max_iter) is not int or max_iter < 1:
+            raise ConfigError(f"tolerances: mass_balance {tol!r} or newton_max_iter {max_iter!r} invalid")
+        self.out = raw.get("out", "out")
+        self.dump_plans = bool(raw.get("dump_plans", False))
         self.validate_spec = raw.get("validate", {})
         self.layout = raw.get("layout", "line")
 

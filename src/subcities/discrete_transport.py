@@ -9,7 +9,7 @@ complementary-slack on the support.
 
 The flow starts from the cheapest assignment under target prices (every
 source on the target minimizing cost minus price), which in the production
-shape, n grid cells against k << n atoms, a few coordinate sweeps first set
+shape, n points against k << n targets, a few coordinate sweeps first set
 near each target's demand. It then moves only the excess, from the targets
 that received too much to those short. Searches run over the k nodes of the
 smaller side (a wide instance is solved transposed) through a k x k matrix
@@ -141,15 +141,14 @@ def _balance(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray, phi: np.n
             reduced[:, j] = cost[:, j] - phi[j]
 
 
-def _ssp(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray, prices=None):
+def _ssp(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
     """Primal-dual successive shortest paths from the cheapest assignment.
 
     Returns a dense integer flow matrix and potentials (psi, psi_c) with
-    psi_i + psi_c_j <= c_ij, equal on every flow-carrying pair. Target j
-    starts at potential phi_j = prices_j (0 without prices), balanced
-    (``_balance``) given ``_TALL`` sources per target, and every source
-    sends its whole supply to the first ``argmin`` of its row of c - phi;
-    any phi keeps the solve exact. Every flow edge stays tight, so moving a
+    psi_i + psi_c_j <= c_ij, equal on every flow-carrying pair. The target
+    potentials phi start at 0, balanced (``_balance``) given ``_TALL``
+    sources per target, and every source sends its whole supply to the
+    first ``argmin`` of its row of c - phi; any phi keeps the solve exact. Every flow edge stays tight, so moving a
     unit from target j to j' through a source on j has reduced cost
     B[j, j'] + phi_j - phi_j' >= 0, where B[j, j'] = min over the sources i
     on j of c(i, j') - c(i, j) depends on the support only. Each search runs
@@ -161,13 +160,13 @@ def _ssp(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray, prices=None):
     value at the search, so a tied run of sources moves in one search. A
     path can pass through one source twice, so the bottleneck is over net
     changes. psi is the c-transform of phi. A wide instance is solved
-    transposed, from zero prices.
+    transposed.
     """
     n, m = cost.shape
     if n < m:
         flow, psi_c, psi = _ssp(cost.T, demand, supply)
         return flow.T, psi, psi_c
-    phi = np.zeros(m) if prices is None else np.array(prices, dtype=float)
+    phi = np.zeros(m)
     if n >= _TALL * m:
         phi = _balance(cost, supply, demand, phi)
     nearest = (cost - phi).argmin(axis=1)
@@ -235,17 +234,15 @@ def solve_discrete_transport(
     source: WeightedPointCloud,
     target: WeightedPointCloud,
     p: float,
-    prices=None,
 ) -> TransportPlan:
     """Exactly optimal coupling for the finite transportation linear program.
 
     The returned ``total_cost`` equals W_p^p of the two clouds. Degenerate
     shapes (a single source or a single target) have a forced plan and are
     resolved directly without quantization. The solve starts from the
-    cheapest assignment under c - ``prices`` (one per target, 0 if None),
-    which a tall instance first balances against the target weights (see
-    ``_ssp``); any prices give an optimal plan. A wide instance (fewer
-    sources than targets) is solved transposed and ignores them.
+    cheapest assignment under target prices that a tall instance first
+    balances against the target weights (see ``_ssp``); a wide instance
+    (fewer sources than targets) is solved transposed.
     """
     if len(source) == 0 or len(target) == 0:
         raise EmptyCloud("transport needs nonempty point clouds")
@@ -281,7 +278,7 @@ def solve_discrete_transport(
         float(np.abs(supply / DEFAULT_DENOMINATOR - source.weights).max()),
         float(np.abs(demand / DEFAULT_DENOMINATOR - target.weights).max()),
     )
-    flow, psi, psi_c = _ssp(cost, supply, demand, prices)
+    flow, psi, psi_c = _ssp(cost, supply, demand)
     fi, fj = np.nonzero(flow)
     fmass = flow[fi, fj] / DEFAULT_DENOMINATOR
     total = float(cost[fi, fj] @ fmass)

@@ -21,9 +21,8 @@ from .errors import (
     ZeroMass,
 )
 
-# Probability tolerance for user-supplied measures vs internally produced ones.
+# Probability tolerance for user-supplied measures.
 INPUT_PROB_TOL = 1e-8
-INTERNAL_PROB_TOL = 1e-12
 
 
 @dataclass(frozen=True)

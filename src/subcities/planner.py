@@ -7,7 +7,8 @@ disjoint balls. On a
 bounded domain no closed structure is available, so an alternating
 heuristic is provided: exact density re-solves against barycenter/median
 position moves and local mass exchanges, accepting only improvements.
-Both value fixed atoms as ``min_Fp_nu`` does (``semidiscrete._evaluate``).
+Both value fixed atoms as ``min_Fp_nu`` does (``semidiscrete._evaluate``),
+the transport term read off the power cells.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from .semidiscrete import (
     SubcityProfile,
     _ball_transport_cost,
     _evaluate,
-    _solve_weights_best,
-    _split_masses,
+    _solve_weights,
     _Workspace,
     radius_of_mass,
 )
@@ -187,8 +187,9 @@ def assemble_rn_solution(
 
     Atoms are spaced so every pairwise gap exceeds twice the uniform radius
     bound, which makes the per-ball profile construction exact. The
-    transport term is reported both in closed form and through the discrete
-    oracle: the exact LP, warm-started from the weights R_i^p.
+    transport term is reported both in closed form and on the grid as
+    ``transport_oracle``: the midpoint cost of the balls, each cell's mass
+    sent to its power cell's atom under the weights R_i^p.
     """
     masses = np.asarray(masses, dtype=float)
     if np.any(masses <= 0):
@@ -272,9 +273,10 @@ def solve_bounded(
     sequence is monotone nonincreasing. Position moves use the transport
     barycenter of each atom's cell (median per coordinate when p = 1);
     masses are re-balanced by local exchanges between nearest atoms, a
-    pair's merge tried before its transfers. Candidates are scored by
-    ``min_Fp_nu``'s evaluation (F and the exact LP to the atoms) plus G,
-    from best-effort weight solves. The paper-free parts are labeled
+    pair's merge tried before its transfers. Candidates are valued as
+    ``min_Fp_nu`` values them, plus G; one whose weight solve ends above
+    ``tol`` is refused, and NoConvergence raised if the initial atoms'
+    solve does. The paper-free parts are labeled
     heuristic in the metadata.
     """
     if not init.is_probability():
@@ -282,16 +284,15 @@ def solve_bounded(
     grid = Grid(omega, resolution)
 
     def evaluate(atoms: AtomicMeasure):
-        ws = _Workspace(atoms, f, p, grid)
-        solved = _solve_weights_best(atoms, f, p, grid, tol, max_iter, ws=ws)
-        density, terms, _ = _evaluate(ws, solved[0], solved.split)
+        weights, ws = _solve_weights(atoms, f, p, grid, tol, max_iter)
+        density, terms, plan = _evaluate(ws, weights.c, weights.split)
         terms["G"] = eval_G(g, atoms)
         terms["total"] += terms["G"]
         return {
             "atoms": atoms,
             "ws": ws,
-            "c": solved[0],
-            "split": solved.split,
+            "weights": weights,
+            "plan": plan,
             "density": density,
             "terms": terms,
             "total": terms["total"],
@@ -308,7 +309,7 @@ def solve_bounded(
     for _ in range(rounds):
         improved = False
         # position moves: full barycenter/median step, then a halved step
-        target_pts = _position_candidates(state["ws"], state["c"], p)
+        target_pts = _position_candidates(state["ws"], state["weights"].c, p)
         for blend in (1.0, 0.5):
             cand_pts = (1.0 - blend) * state["atoms"].points + blend * target_pts
             try:
@@ -337,14 +338,14 @@ def solve_bounded(
             break
 
     r_bar = radius_of_mass(f, p, omega.dim, 1.0)
-    s, winner, u, _ = state["ws"].stats(state["c"])
-    cm = _split_masses(state["ws"], winner, u, state["split"])
+    c, plan = state["weights"].c, state["plan"]
+    cm = np.bincount(plan.flow_j, weights=plan.flow_mass, minlength=len(c))  # what each atom receives
     profiles = [
         SubcityProfile(
             center=tuple(pt),
             mass=float(cm[i]),
-            radius=float(max(state["c"][i], 0.0) ** (1.0 / p)),
-            weight=float(state["c"][i]),
+            radius=float(max(c[i], 0.0) ** (1.0 / p)),
+            weight=float(c[i]),
         )
         for i, pt in enumerate(state["atoms"].points)
     ]

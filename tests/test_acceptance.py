@@ -13,7 +13,7 @@ import numpy as np
 import subcities as sc
 from subcities.cli import main as cli_main
 from subcities.oracle import best_density_for
-from subcities.semidiscrete import _solve_weights_best, unit_ball_volume
+from subcities.semidiscrete import _min_Fp_nu, _solve_weights_best, unit_ball_volume
 
 
 def _report(criterion, detail):
@@ -90,27 +90,25 @@ def test_criterion_3_mass_radius_round_trip():
 
 
 def test_criterion_4_optimality_relation():
-    """Support-max of |f'(u) + psi - l| decreases under 100 -> 200 -> 400
-    refinement and is <= 5e-2 at 400 cells (1D, 2 atoms)."""
+    """Support-max of |f'(u) + psi - l| is <= 1e-12 under 100 -> 200 -> 400
+    refinement (1D, 2 atoms), psi the Kantorovich potential of the
+    evaluation's plan, which its duality gap certifies to 1e-12."""
     f, p = sc.quadratic(), 2.0
     nu = sc.AtomicMeasure([[0.25], [0.6]], [0.4, 0.6])
     errors = []
     for cells in (100, 200, 400):
-        h = 1.0 / cells
         grid = sc.Grid(sc.Domain.box([(0.0, 1.0)]), (cells,))
-        c, _ = _solve_weights_best(nu, f, p, grid, tol=0.5 * h)
-        density = sc.density_from_weights(nu, c, f, p, grid)
-        cloud = sc.to_point_cloud(sc.normalize(density))
-        plan = sc.solve_discrete_transport(
-            cloud, sc.WeightedPointCloud(nu.points, nu.masses), p
-        )
+        density, _, plan = _min_Fp_nu(nu, f, p, grid, 0.5 / cells, 500)
         u_support = density.values.ravel()[density.values.ravel() > 0]
         vals = u_support + plan.dual_psi  # f'(u) = u for the quadratic family
         level = np.median(vals)
         errors.append(float(np.abs(vals - level).max()))
-    assert errors[0] > errors[1] > errors[2]
-    assert errors[2] <= 5e-2
-    _report(4, "errors " + " > ".join(f"{e:.2e}" for e in errors))
+        cost = np.abs(plan.source.points - plan.target.points.T) ** p
+        assert (plan.dual_psi[:, None] + plan.dual_psi_c[None, :] - cost).max() <= 1e-12
+        dual = plan.source.weights @ plan.dual_psi + plan.target.weights @ plan.dual_psi_c
+        assert abs(plan.total_cost - dual) <= 1e-12
+    assert max(errors) <= 1e-12
+    _report(4, "errors " + ", ".join(f"{e:.2e}" for e in errors))
 
 
 def test_criterion_5_ball_support_structure():

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from subcities import AtomicMeasure
 from subcities.cli import _GRID_CELL_GUARD, RunConfig, main
 from subcities.errors import ConfigError
 
@@ -83,39 +84,52 @@ class TestMuSubproblemMode:
         assert (out / "plan.csv").exists()
 
     def test_dump_plans_writes_the_one_solved_plan(self, tmp_path, monkeypatch):
+        # the evaluation's own plan, no LP solved: each cell's mass goes to
+        # an atom of its highest score, and HiGHS finds no cheaper plan
         import numpy as np
 
-        from subcities import (
-            GridDensity,
-            WeightedPointCloud,
-            discrete_transport,
-            normalize,
-            to_point_cloud,
-        )
+        from subcities import GridDensity, discrete_transport, quadratic, solve_weights
 
-        solve = discrete_transport.solve_discrete_transport
+        optimize = pytest.importorskip("scipy.optimize")
         calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(discrete_transport, "solve_discrete_transport", counted)
+        monkeypatch.setattr(discrete_transport, "solve_discrete_transport", calls.append)
         atoms = [{"point": [0.35], "mass": 0.5}, {"point": [0.65], "mass": 0.5}]
         cfg = write_config(
             tmp_path, {**BASE, "domain": [[0.0, 1.0]], "grid": 200, "atoms": atoms}
         )
         out = tmp_path / "run"
         assert main(["mu-subproblem", "--config", str(cfg), "--out", str(out), "--dump-plans"]) == 0
-        assert len(calls) == 1
-        cloud = to_point_cloud(normalize(GridDensity.from_csv(out / "density.csv")))
-        nu = WeightedPointCloud(np.array([[0.35], [0.65]]), np.array([0.5, 0.5]))
-        solve(cloud, nu, 2.0).dump_csv(tmp_path / "direct.csv")
-        assert (out / "plan.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+        assert calls == []
+        density = GridDensity.from_csv(out / "density.csv")
+        u = density.values.ravel()
+        x = density.grid.cell_centers()[u > 0, 0]
+        nu = np.array([0.5, 0.5])
+        weights = solve_weights(
+            AtomicMeasure([[0.35], [0.65]], nu), quadratic(), 2.0, density.grid
+        )
+        cost = (x[:, None] - np.array([0.35, 0.65])) ** 2
+        rows = np.loadtxt(out / "plan.csv", delimiter=",", skiprows=1, ndmin=2)
+        i, j, mass = rows[:, 0].astype(int), rows[:, 1].astype(int), rows[:, 2]
+        score = weights.c - cost
+        assert (score[i, j] >= score[i].max(axis=1) - 1e-12).all()
+        assert np.array_equal(np.bincount(i, weights=mass), u[u > 0] * density.cell_volume)
+        assert np.abs(np.bincount(j, weights=mass) - nu).max() <= 1e-12
+        objective = json.loads((out / "report.json").read_text())["result"]["objective"]
+        assert objective["transport"] == pytest.approx(float(mass @ cost[i, j]), rel=1e-12)
+        n = len(x)
+        highs = optimize.linprog(
+            cost.ravel(),
+            A_eq=np.vstack([np.kron(np.eye(n), np.ones(2)), np.kron(np.ones(n), np.eye(2))]),
+            b_eq=np.concatenate([u[u > 0] * density.cell_volume, nu]),
+            bounds=(0, None),
+            method="highs",
+        )
+        assert highs.status == 0
+        assert objective["transport"] == pytest.approx(highs.fun, rel=1e-9)
 
     def test_large_2d_run_dumps_its_exact_plan(self, tmp_path):
         # 2-D, 32², 3 atoms at the mass-balance floor u_max * h^n: hundreds
-        # of support cells, whose transport is still priced by the exact LP
+        # of support cells, whose plan is the split power cells
         import numpy as np
 
         from subcities import (
@@ -234,6 +248,27 @@ class TestConfigHandling:
             with pytest.raises(ConfigError, match=f"grid of {side**2} cells exceeds the guard"):
                 RunConfig({**BASE, "mode": "plan-rn", "n": 2, "grid": grid})
         RunConfig({**BASE, "mode": "plan-rn", "n": 2, "grid": [side - 1, side - 1]})
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"n": 2, "grid": [32], "domain": [[0.0, 1.0], [0.0, 1.0]]},
+            {"grid": 0},
+            {"domain": [[1.0, 0.0]]},
+            {"atoms": [{"point": [0.4], "mass": 0.5}, {"point": [0.4], "mass": 0.5}]},
+            {"tolerances": {"mass_balance": "x"}},
+        ],
+        ids=["grid-axes", "grid-zero", "empty-interval", "repeated-atom", "tolerance-type"],
+    )
+    def test_malformed_config_is_a_config_error(self, tmp_path, capsys, override):
+        atoms = [{"point": [0.3], "mass": 0.5}, {"point": [0.7], "mass": 0.5}]
+        cfg = write_config(
+            tmp_path, {**BASE, "domain": [[0.0, 1.0]], "grid": 32, "atoms": atoms, **override}
+        )
+        out = tmp_path / "run"
+        assert main(["mu-subproblem", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
     def test_bad_mode_rejected(self, tmp_path):
         cfg = write_config(tmp_path, BASE)

@@ -10,12 +10,11 @@ from subcities import (
     EnergyCurve,
     Grid,
     InvalidK,
-    WeightedPointCloud,
+    NoConvergence,
     assemble_rn_solution,
     density_from_weights,
     eval_F,
     min_Fp_nu,
-    normalize,
     optimize_masses,
     power_f,
     power_g,
@@ -23,13 +22,12 @@ from subcities import (
     radius_of_mass,
     solve_atomic_problem,
     solve_bounded,
-    solve_discrete_transport,
     solve_weights,
     subadditivity_threshold,
     subcity_energy,
-    to_point_cloud,
 )
 from subcities.oracle import _simplex_projection
+from subcities.semidiscrete import _min_Fp_nu
 
 F = quadratic()
 G_WEAK = power_g(0.2, 0.5)
@@ -597,15 +595,21 @@ class TestOneEvaluation:
     def test_bounded_transport_is_the_exact_lp_to_the_atoms(self, bounds, points, resolution):
         # weight solves whose winner-takes-all cells miss tol by far, where
         # the cost to those cell masses is 2.9 % (1-D) and 0.3 % (2-D) off
-        # the cost to the atoms; the split tied cells balance the atoms
+        # the cost to the atoms; the split tied cells balance the atoms, and
+        # their plan's potentials certify it optimal
         init = AtomicMeasure(points, [0.4, 0.35, 0.25])
-        sol = solve_bounded(
-            Domain.box(bounds), F, power_g(0.4, 0.5), 2.0, init, rounds=0, resolution=resolution
-        )
+        omega = Domain.box(bounds)
+        sol = solve_bounded(omega, F, power_g(0.4, 0.5), 2.0, init, rounds=0, resolution=resolution)
         assert sol.metadata["mass_residual"] <= 1e-12
-        nu = WeightedPointCloud(sol.nu.points, sol.nu.masses)
-        cold = solve_discrete_transport(to_point_cloud(normalize(sol.mu)), nu, 2.0)
-        assert sol.objective["transport"] == pytest.approx(cold.total_cost, rel=1e-12)
+        _, breakdown, plan = _min_Fp_nu(init, F, 2.0, Grid(omega, resolution), 1e-7, 500)
+        assert sol.objective["transport"] == breakdown["transport"] == plan.total_cost
+        total = breakdown["total"]
+        assert abs(total - breakdown["dual_objective"]) <= 1e-12 * (1.0 + abs(total))
+        cost = np.linalg.norm(plan.source.points[:, None] - plan.target.points[None], axis=2) ** 2
+        assert (plan.dual_psi[:, None] + plan.dual_psi_c[None, :] - cost).max() <= 1e-12
+        dual = plan.source.weights @ plan.dual_psi + plan.target.weights @ plan.dual_psi_c
+        assert abs(plan.total_cost - dual) <= 1e-12
+        assert max(plan.marginal_residuals()) <= 1e-12
 
     def test_bounded_and_min_Fp_nu_agree_bit_for_bit(self):
         omega = Domain.box([(0.0, 1.0)])
@@ -623,16 +627,55 @@ class TestOneEvaluation:
     def test_assembly_oracle_and_F_unchanged(self):
         masses = np.array([0.7, 0.3])
         sol = assemble_rn_solution(masses, F, G_WEAK, 2.0, 1)
-        # reference: the density, its F and the LP warm-started from R^p
+        # reference: the density, its F and the midpoint cost of its balls,
+        # each cell's mass sent to its power cell's atom under R^p
         weights = radius_of_mass(F, 2.0, 1, masses) ** 2.0
         grid = Grid(sol.mu.domain, sol.mu.resolution)
         density = density_from_weights(sol.nu, weights, F, 2.0, grid)
-        nu = WeightedPointCloud(sol.nu.points, sol.nu.masses)
-        plan = solve_discrete_transport(to_point_cloud(normalize(density)), nu, 2.0, weights)
+        cost = np.abs(grid.cell_centers() - sol.nu.points.T) ** 2.0
+        owner = (weights - cost).argmax(axis=1)
+        midpoint = density.values.ravel() * grid.cell_volume @ cost[np.arange(len(cost)), owner]
         assert sol.objective["F"] == eval_F(F, density)
-        assert sol.objective["transport_oracle"] == plan.total_cost
+        assert sol.objective["transport_oracle"] == pytest.approx(midpoint, rel=1e-12)
         assert sol.objective["F"] == pytest.approx(0.22661233697521882, rel=1e-12)
-        assert sol.objective["transport_oracle"] == pytest.approx(0.11332267484642719, rel=1e-12)
+        assert sol.objective["transport_oracle"] == pytest.approx(0.11330660473258333, rel=1e-12)
+
+
+class TestBoundedRefusal:
+    """A candidate whose weight solve ends above ``tol`` is refused, and the
+    initial atoms' solve ending there is an error: its cell plan would cost
+    the transport to the cell masses instead of to the atoms."""
+
+    @staticmethod
+    def _report_above_tol(monkeypatch, when):
+        from subcities import semidiscrete
+
+        solve, seen = semidiscrete._solve_weights_best, []
+
+        def above_tol(atoms, *args, **kwargs):
+            solved = solve(atoms, *args, **kwargs)
+            if not when(atoms):
+                return solved
+            seen.append(len(atoms))
+            return semidiscrete._Solved(solved[0], 1.0, solved.split)
+
+        monkeypatch.setattr(semidiscrete, "_solve_weights_best", above_tol)
+        return seen
+
+    def test_candidate_above_tol_is_refused(self, monkeypatch):
+        # the instance of test_merge_when_concentration_dominates, which
+        # merges to one atom unless one-atom candidates are refused
+        seen = self._report_above_tol(monkeypatch, lambda atoms: len(atoms) == 1)
+        omega = Domain.box([(0.0, 3.0)])
+        init = AtomicMeasure([[1.0], [2.0]], [0.5, 0.5])
+        sol = solve_bounded(omega, F, power_g(1.0, 0.5), 2.0, init, rounds=8, resolution=96)
+        assert seen and len(sol.nu) == 2
+
+    def test_initial_atoms_above_tol_raise(self, monkeypatch):
+        self._report_above_tol(monkeypatch, lambda atoms: True)
+        init = AtomicMeasure([[1.0], [2.0]], [0.5, 0.5])
+        with pytest.raises(NoConvergence):
+            solve_bounded(Domain.box([(0.0, 3.0)]), F, G_WEAK, 2.0, init, rounds=1, resolution=96)
 
 
 class TestMergeProperty:

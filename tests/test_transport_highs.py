@@ -5,9 +5,8 @@ the solver's integer mass units represent both marginals exactly and both
 solvers solve the same LP. Shapes cover tall n x k clouds (the production
 shape, up to 900 x 3 from the balanced cold start), their transposes, square
 instances (up to 61 x 60, where one search tree serves several short
-targets), and degenerate ties, each at p in {1, 1.5, 2}; the tall
-instances are also solved from target prices, among them a weight solve's
-tied run. Random points
+targets), and degenerate ties, each at p in {1, 1.5, 2}, and a weight
+solve's tied run. Random points
 make the tall, wide and square instances tie-free, so their optimal plan is
 unique and the whole flow matrix is compared, not only the optimal value.
 """
@@ -71,11 +70,10 @@ def highs_solve(src, tgt, cost):
     return res.fun, res.x.reshape(n, m)
 
 
-def assert_matches_highs(src, tgt, p, unique=False, prices=None):
+def assert_matches_highs(src, tgt, p, unique=False):
     """Same optimal value as HiGHS; with ``unique`` (a tie-free instance,
-    whose optimal plan is unique) also the same plan. ``prices`` warm-start
-    the solve."""
-    plan = solve_discrete_transport(src, tgt, p, prices)
+    whose optimal plan is unique) also the same plan."""
+    plan = solve_discrete_transport(src, tgt, p)
     cost = cost_matrix(src, tgt, p)
     fun, x = highs_solve(src, tgt, cost)
     assert abs(plan.total_cost - fun) <= 1e-9 * (1.0 + abs(fun))
@@ -105,37 +103,6 @@ def tall_case(k, seed):
 def test_tall(k, p):
     src, tgt = tall_case(k, seed=100 + k)
     assert_matches_highs(src, tgt, p, unique=True)
-
-
-@pytest.mark.parametrize("p", EXPONENTS)
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_tall_warm_started(k, p):
-    """Any target prices give the optimal plan: random ones, the cold
-    solve's own dual prices (power cells that hold the target weights) and
-    those prices perturbed, as a weight solve's residual leaves them."""
-    src, tgt = tall_case(k, seed=100 + k)
-    rng = np.random.default_rng(500 + k)
-    scale = cost_matrix(src, tgt, p).max()
-    cold = solve_discrete_transport(src, tgt, p)
-    for prices in (
-        rng.uniform(-scale, scale, k),
-        cold.dual_psi_c,
-        cold.dual_psi_c + rng.normal(scale=1e-3 * scale, size=k),
-    ):
-        assert_matches_highs(src, tgt, p, unique=True, prices=prices)
-    # no prices is the zero-price start, bit for bit
-    zero = solve_discrete_transport(src, tgt, p, np.zeros(k))
-    for name in ("flow_i", "flow_j", "flow_mass", "dual_psi", "dual_psi_c"):
-        assert np.array_equal(getattr(cold, name), getattr(zero, name))
-    assert cold.total_cost == zero.total_cost
-
-
-def test_wide_ignores_prices():
-    src, tgt = tall_case(3, seed=203)
-    cold = solve_discrete_transport(tgt, src, 2.0)
-    warm = solve_discrete_transport(tgt, src, 2.0, np.random.default_rng(0).random(len(src)))
-    for name in ("flow_i", "flow_j", "flow_mass", "dual_psi", "dual_psi_c"):
-        assert np.array_equal(getattr(cold, name), getattr(warm, name))
 
 
 @pytest.mark.parametrize("p", EXPONENTS)
@@ -178,11 +145,6 @@ def test_tall_cold_start_is_balanced(n, m, p, caplog):
         assert_matches_highs(src, tgt, p, unique=True)
     searches, _ = search_counts(caplog)
     assert searches <= 3 * m
-    # no prices and zero prices go through the same balancing
-    cold = solve_discrete_transport(src, tgt, p)
-    zero = solve_discrete_transport(src, tgt, p, np.zeros(m))
-    for name in ("flow_i", "flow_j", "flow_mass", "dual_psi", "dual_psi_c"):
-        assert np.array_equal(getattr(cold, name), getattr(zero, name))
 
 
 def on_lattice(weights, units=10**6):
@@ -190,13 +152,13 @@ def on_lattice(weights, units=10**6):
 
 
 def test_tied_run_moved_in_one_search(caplog):
-    """The warm LP of a p = 1 weight solve in 1-D: 512 cells and the four
-    collinear atoms of benchmark seed 1's mu-023, with the solved weights as
-    prices. Left of the first atom every pair of atoms' costs differs by a
-    constant, so those weights tie a run of 123 cells between the first two
-    atoms, and the optimum splits it. Each cell of the run moved leaves the
-    run's exchange value as it was, so one search moves them all (augmenting
-    once per search takes 112 searches, one cell each)."""
+    """The LP from a p = 1 weight solve's density in 1-D, cold: 512 cells
+    and the four collinear atoms of benchmark seed 1's mu-023. Left of the
+    first atom every pair of atoms' costs differs by a constant, so a run
+    of cells ties between two atoms, and the optimum splits it. Each cell
+    of the run moved leaves the run's exchange value as it was, so a search
+    keeps augmenting along the same path: 7 searches make 25 augmentations,
+    where augmenting once per short target and search takes 13 searches."""
     f = quadratic()
     atoms = AtomicMeasure(
         [[0.24099318117626756], [0.4108350275733299], [0.589943311653015], [0.7632397820405898]],
@@ -209,10 +171,10 @@ def test_tied_run_moved_in_one_search(caplog):
     src = WeightedPointCloud(cells.points, on_lattice(cells.weights))
     tgt = WeightedPointCloud(atoms.points, on_lattice(atoms.masses))
     with caplog.at_level(logging.DEBUG, logger="subcities"):
-        assert_matches_highs(src, tgt, 1.0, prices=weights.c)
+        assert_matches_highs(src, tgt, 1.0)
     searches, augmentations = search_counts(caplog)
     assert len(src) == 512
-    assert searches <= 2 and augmentations >= 10
+    assert searches <= 8 and augmentations >= 3 * searches
 
 
 def duplicate_sources(rng):
