@@ -69,9 +69,8 @@ class RunConfig:
             self.domain_bounds = raw.get("domain")
             if self.domain_bounds is not None:
                 _domain_from(self.domain_bounds, self.n)
-            self.atoms_spec = raw.get("atoms")
-            if self.atoms_spec:
-                _parse_atoms(self.atoms_spec, self.n)
+            atoms = raw.get("atoms")
+            self.atoms = _parse_atoms(atoms, self.n) if atoms else None
             self.rounds = int(raw.get("rounds", 12))
             self.curve_samples = int(raw.get("curve_samples", 64))
             self.curve_m_min = float(raw.get("curve_m_min", 1e-3))
@@ -139,13 +138,18 @@ def _config_hash(effective: dict) -> str:
 
 
 def _parse_atoms(spec, n: int) -> AtomicMeasure:
-    if not spec:
-        raise ConfigError("this mode needs an 'atoms' list in the config")
     pts = np.array([entry["point"] for entry in spec], dtype=float)
     masses = np.array([entry["mass"] for entry in spec], dtype=float)
     if pts.shape[1] != n:
         raise ConfigError(f"atom points must have dimension n={n}")
     return AtomicMeasure(pts, masses)
+
+
+def _atoms_of(cfg: RunConfig) -> AtomicMeasure:
+    """The atoms the config parsed and validated, for the modes that need them."""
+    if cfg.atoms is None:
+        raise ConfigError("this mode needs an 'atoms' list in the config")
+    return cfg.atoms
 
 
 def _domain_from(bounds, n: int) -> Domain:
@@ -234,7 +238,7 @@ def _run_plan_rn(cfg: RunConfig, outdir: Path) -> dict:
 
 def _run_plan_bounded(cfg: RunConfig, outdir: Path) -> dict:
     domain = _domain_from(cfg.domain_bounds, cfg.n)
-    init = _parse_atoms(cfg.atoms_spec, cfg.n)
+    init = _atoms_of(cfg)
     solution = solve_bounded(
         domain,
         cfg.f,
@@ -262,7 +266,7 @@ def _run_plan_bounded(cfg: RunConfig, outdir: Path) -> dict:
 
 def _run_mu_subproblem(cfg: RunConfig, outdir: Path) -> dict:
     domain = _domain_from(cfg.domain_bounds, cfg.n)
-    nu = _parse_atoms(cfg.atoms_spec, cfg.n)
+    nu = _atoms_of(cfg)
     grid = Grid(domain, cfg.resolution)
     density, breakdown, plan = _min_Fp_nu(
         nu,

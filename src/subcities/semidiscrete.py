@@ -12,9 +12,13 @@ workspace.
 Hard cell assignment on a grid makes the per-atom mass map piecewise smooth
 with jumps of order (boundary density) * (cell volume), and the dual's
 maximiser sits on such a jump: there some cells tie between atoms and must
-be split. When Newton's active set first repeats, and again wherever Newton
-stops, an active-set crossover ties those cells exactly, splits them so
+be split. An active-set crossover ties those cells exactly, splits them so
 that every atom gets its mass, and so ends at the exact discrete optimum.
+Newton hands over to it once, when its active set first repeats or its
+residual comes within the crossover's reach (the mass of as many of the
+largest cells as the crossover has rounds), and again wherever Newton
+stops; a split that meets the tolerance ends the solve, so its cost does
+not grow as the tolerance tightens.
 There the power cells are an optimal transport plan to the atoms (Kitagawa,
 Merigot & Thibert 2019), so the fixed-atom value reads its transport term
 off them and solves no LP. If the crossover finds no consistent split, the
@@ -418,9 +422,11 @@ def solve_weights(
 
     Damped Newton ascends the concave dual (gradient: atom masses minus cell
     masses); the Jacobian couples neighboring cells through their shared
-    boundary layer. At the kink where Newton cycles, and wherever it stops,
-    an active-set crossover splits the exactly tied cells so that every atom
-    gets its mass (``DualWeights.split``): the exact discrete optimum. If it
+    boundary layer. At the kink where Newton cycles or once it is within
+    the crossover's reach, and again wherever it stops, an active-set
+    crossover splits the exactly tied cells so that every atom gets its mass
+    (``DualWeights.split``): the exact discrete optimum, whatever ``tol``
+    asks, at a cost that does not grow as ``tol`` tightens. If it
     finds no split and Newton stopped above ``tol``, one pass of
     per-coordinate bisection plus a total-mass level polish runs from
     Newton's best iterate. Raises NoConvergence with the best residual when
@@ -458,12 +464,15 @@ def _solve_weights_best(
 
     The result unpacks as that pair and carries the tied-cell split as
     ``.split`` (None when every cell has one owner). Newton hands over to
-    ``_crossover`` from its best iterate at the first accepted iterate whose
-    active set (each cell's winner, -1 off the support) repeats one from
-    before the previous iterate, and again when it stops unless that best
-    iterate was handed over already. If the crossover finds no consistent
-    split, the solve goes on as if it had not run: a Newton that stops
-    above ``tol`` ends in the sweep-and-polish pass.
+    ``_crossover`` from its best iterate once, at the first accepted
+    iterate whose active set (each cell's winner, -1 off the support)
+    repeats one from before the previous iterate, or whose best residual
+    is within the crossover's reach: the mass of ``_PIVOTS`` of the start's
+    largest cells. A split that meets ``tol`` (at a revisit, one that
+    lowers the residual) ends the solve. It hands over again when it stops
+    unless that best iterate was handed over already. If the crossover
+    finds no consistent split, the solve goes on as if it had not run: a
+    Newton that stops above ``tol`` ends in the sweep-and-polish pass.
     """
     if ws is None:
         ws = _Workspace(atoms, f, p, grid)
@@ -494,7 +503,9 @@ def _solve_weights_best(
     best_res = float(np.abs(cm - targets).max())
     phi = ws.dual_value(c, s)
     seen = {_active_set(s, winner): 0}  # active set -> last iterate that had it
-    crossed_from = None
+    # the crossover pivots about one cell per round
+    reach = _PIVOTS * ws.vol * float(u.max())
+    crossed_from = crossed = None
     it = 0
     while it < max_iter and best_res > tol:
         it += 1
@@ -522,17 +533,17 @@ def _solve_weights_best(
             it > 10 and res > tol and phi <= phi_prev + 1e-15 * (1.0 + abs(phi_prev))
         ):
             break
-        if best_res > tol and crossed_from is None and seen.get(key, it - 1) < it - 1:
-            # Newton cycles about a kink of the dual: split its tied cells
-            crossed_from = best_c
-            out = _crossover(ws, best_c)
-            if out is not None and out[1] < best_res:
-                return out
+        # Newton cycles about a kink of the dual, or is within the
+        # crossover's reach: split the tied cells once
+        revisit = seen.get(key, it - 1) < it - 1
+        if best_res > tol and crossed_from is None and (revisit or best_res <= reach):
+            crossed_from, crossed = best_c, _crossover(ws, best_c)
+            if crossed is not None and (crossed[1] <= tol or revisit and crossed[1] < best_res):
+                return crossed
         seen[key] = it
-    if best_c is not crossed_from:
-        out = _crossover(ws, best_c)
-        if out is not None and out[1] < best_res:
-            return out
+    out = crossed if best_c is crossed_from else _crossover(ws, best_c)
+    if out is not None and out[1] < best_res:
+        return out
     if best_res > tol:
         # one monotone pass: per-coordinate bisection, then a level re-balance
         c = _level_polish(ws, _coordinate_sweep(ws, best_c, targets), float(targets.sum()))
@@ -724,14 +735,20 @@ def _side(edges, e: int, a: int) -> set:
     return side
 
 
+_LEVEL_ULPS = 4.0 * np.finfo(float).eps
+
+
 def _level(f: FunctionFamily, vol: float, base: np.ndarray, target: float) -> float:
     """The shift L with vol * sum k(L + base) = target, ``base`` not empty.
 
     The mass is continuous and nondecreasing in L. Newton steps stay inside
     the bracket of the root found so far; a step that would leave it
     bisects, or, while one end is still unknown, moves by 1 + |L| that way.
+    A Newton step of a few ulps of |L| + max|base| ends the search: below
+    that, the gap is rounding noise in L + base.
     """
     level, lo, hi = 0.0, -np.inf, np.inf
+    scale = float(np.abs(base).max())
     for _ in range(100):
         t = level + base
         gap = float(f.k(t).sum()) * vol - target
@@ -743,13 +760,15 @@ def _level(f: FunctionFamily, vol: float, base: np.ndarray, target: float) -> fl
             hi = level
         slope = float(f.k_prime(t).sum()) * vol
         nxt = level - gap / slope if slope > 0.0 else np.nan
-        if not lo < nxt < hi:
-            if np.isfinite(lo) and np.isfinite(hi):
-                nxt = 0.5 * (lo + hi)
-            elif np.isfinite(lo):
-                nxt = max(lo, -float(base.max())) + 1.0 + abs(lo)
-            else:
-                nxt = hi - 1.0 - abs(hi)
+        if lo < nxt < hi:
+            if abs(nxt - level) <= _LEVEL_ULPS * (abs(level) + scale):
+                return nxt
+        elif np.isfinite(lo) and np.isfinite(hi):
+            nxt = 0.5 * (lo + hi)
+        elif np.isfinite(lo):
+            nxt = max(lo, -float(base.max())) + 1.0 + abs(lo)
+        else:
+            nxt = hi - 1.0 - abs(hi)
         if nxt in (level, lo, hi):
             break
         level = nxt
