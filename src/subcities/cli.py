@@ -66,15 +66,23 @@ class RunConfig:
             self.g = _parse_g(raw.get("g", {"kind": "power", "b": 1.0, "r": 0.5}))
             self.resolution = raw.get("grid", 64)
             axes = per_axis(self.resolution, self.n)
-            self.domain_bounds = raw.get("domain")
-            if self.domain_bounds is not None:
-                _domain_from(self.domain_bounds, self.n)
+            bounds = raw.get("domain")
+            if bounds is not None and len(bounds) != self.n:
+                raise ConfigError(f"domain must give {self.n} intervals")
+            self.domain = Domain.box(bounds) if bounds is not None else None
             atoms = raw.get("atoms")
             self.atoms = _parse_atoms(atoms, self.n) if atoms else None
+            self.validate_spec = raw.get("validate", {})
+            if self.mode in ("plan-bounded", "mu-subproblem", "validate") and self.domain is None:
+                raise ConfigError(f"{self.mode} needs a 'domain' bounds list in the config")
+            if self.mode in ("plan-bounded", "mu-subproblem") and self.atoms is None:
+                raise ConfigError(f"{self.mode} needs an 'atoms' list in the config")
+            if self.mode == "validate" and not self.validate_spec.get("sites"):
+                raise ConfigError("validate needs a 'validate.sites' list in the config")
             self.rounds = int(raw.get("rounds", 12))
             self.curve_samples = int(raw.get("curve_samples", 64))
             self.curve_m_min = float(raw.get("curve_m_min", 1e-3))
-        except (TypeError, ValueError, LookupError, SubcitiesError) as exc:
+        except (TypeError, ValueError, LookupError, AttributeError, SubcitiesError) as exc:
             raise ConfigError(str(exc)) from exc
         if len(axes) != self.n or min(axes) < 1:
             raise ConfigError(f"grid must give {self.n} positive cell counts, got {self.resolution!r}")
@@ -85,7 +93,6 @@ class RunConfig:
             raise ConfigError(f"tolerances: mass_balance {tol!r} or newton_max_iter {max_iter!r} invalid")
         self.out = raw.get("out", "out")
         self.dump_plans = bool(raw.get("dump_plans", False))
-        self.validate_spec = raw.get("validate", {})
         self.layout = raw.get("layout", "line")
 
     def effective(self) -> dict:
@@ -143,21 +150,6 @@ def _parse_atoms(spec, n: int) -> AtomicMeasure:
     if pts.shape[1] != n:
         raise ConfigError(f"atom points must have dimension n={n}")
     return AtomicMeasure(pts, masses)
-
-
-def _atoms_of(cfg: RunConfig) -> AtomicMeasure:
-    """The atoms the config parsed and validated, for the modes that need them."""
-    if cfg.atoms is None:
-        raise ConfigError("this mode needs an 'atoms' list in the config")
-    return cfg.atoms
-
-
-def _domain_from(bounds, n: int) -> Domain:
-    if bounds is None:
-        raise ConfigError("this mode needs a 'domain' bounds list in the config")
-    if len(bounds) != n:
-        raise ConfigError(f"domain must give {n} intervals")
-    return Domain.box(bounds)
 
 
 def _profiles_payload(solution: PlanSolution) -> list[dict]:
@@ -237,14 +229,12 @@ def _run_plan_rn(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def _run_plan_bounded(cfg: RunConfig, outdir: Path) -> dict:
-    domain = _domain_from(cfg.domain_bounds, cfg.n)
-    init = _atoms_of(cfg)
     solution = solve_bounded(
-        domain,
+        cfg.domain,
         cfg.f,
         cfg.g,
         cfg.p,
-        init,
+        cfg.atoms,
         rounds=cfg.rounds,
         resolution=cfg.resolution,
         tol=cfg.tolerances["mass_balance"],
@@ -265,11 +255,9 @@ def _run_plan_bounded(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def _run_mu_subproblem(cfg: RunConfig, outdir: Path) -> dict:
-    domain = _domain_from(cfg.domain_bounds, cfg.n)
-    nu = _atoms_of(cfg)
-    grid = Grid(domain, cfg.resolution)
+    grid = Grid(cfg.domain, cfg.resolution)
     density, breakdown, plan = _min_Fp_nu(
-        nu,
+        cfg.atoms,
         cfg.f,
         cfg.p,
         grid,
@@ -281,17 +269,14 @@ def _run_mu_subproblem(cfg: RunConfig, outdir: Path) -> dict:
     if cfg.dump_plans:
         plan.dump_csv(outdir / "plan.csv")
         artifacts.append("plan.csv")
-    breakdown["G"] = eval_G(cfg.g, nu)
+    breakdown["G"] = eval_G(cfg.g, cfg.atoms)
     return {"objective": breakdown, "artifacts": artifacts}
 
 
 def _run_validate(cfg: RunConfig, outdir: Path) -> dict:
     spec = cfg.validate_spec
-    domain = _domain_from(cfg.domain_bounds, cfg.n)
-    grid = Grid(domain, spec.get("grid", 32))
-    sites = np.array(spec.get("sites", []), dtype=float)
-    if sites.size == 0:
-        raise ConfigError("validate mode needs 'validate.sites'")
+    grid = Grid(cfg.domain, spec.get("grid", 32))
+    sites = np.array(spec["sites"], dtype=float)
     instance = BruteForceInstance(
         grid=grid,
         candidate_sites=sites,
@@ -315,7 +300,7 @@ def _run_validate(cfg: RunConfig, outdir: Path) -> dict:
         for subset in combinations(range(len(sites)), k):
             init = AtomicMeasure(sites[list(subset)], np.full(k, 1.0 / k))
             cand = solve_bounded(
-                domain, cfg.f, cfg.g, cfg.p, init,
+                cfg.domain, cfg.f, cfg.g, cfg.p, init,
                 rounds=cfg.rounds, resolution=grid.resolution,
                 tol=cfg.tolerances["mass_balance"], max_iter=cfg.tolerances["newton_max_iter"],
             )

@@ -4,9 +4,8 @@ Given atoms with masses, the optimal density is a truncated radial profile
 around each atom pinned by one weight per atom: u(x) = k(max_i(c_i - |x-x_i|^p) v 0).
 Weights are solved so each atom's cell carries exactly its mass, by damped
 Newton on the concave dual with a boundary-coupled Jacobian. The Armijo line
-search evaluates its step factors in batches, one workspace ``stats`` call
-per batch (a wide first batch on small grids), and accepts the first passing
-factor in order; the Jacobian's boundary-layer widths are tabulated once per
+search halves the step until the test passes, one workspace ``stats`` call
+per step factor; the Jacobian's boundary-layer widths are tabulated once per
 workspace.
 
 Hard cell assignment on a grid makes the per-atom mass map piecewise smooth
@@ -23,10 +22,9 @@ There the power cells are an optimal transport plan to the atoms (Kitagawa,
 Merigot & Thibert 2019), so the fixed-atom value reads its transport term
 off them and solves no LP. If the crossover finds no consistent split, the
 solve goes on as without it, and if Newton stops above the tolerance one
-monotone pass (a per-coordinate bisection sweep whose trials read only the
-moving weight's score column, then a uniform shift balancing the total
-mass) starts from its best iterate and is kept only if it lowers the
-residual.
+monotone pass (a per-coordinate bisection sweep, then a uniform shift
+balancing the total mass) starts from its best iterate and is kept only if
+it lowers the residual.
 """
 
 from __future__ import annotations
@@ -228,36 +226,19 @@ class _Workspace:
         )
         self.dist_p = self.dist**p
         self._idx = np.arange(len(self.centers))
-        self._flat = self._idx * self.m  # row starts in the raveled scores
 
     def stats(self, c: np.ndarray):
-        """Winning score, winner, density and winner's cell mass per cell.
+        """Winning score, winner, density and winner's cell mass per cell."""
+        scores = c - self.dist_p
+        winner = scores.argmax(axis=1)  # first max: lowest atom index wins ties
+        s = scores[self._idx, winner]
+        u = self.f.k(s)  # exactly 0 off the support (s <= 0)
+        return s, winner, u, np.bincount(winner, weights=u * self.vol, minlength=self.m)
 
-        ``c`` is one weight vector, shape (m,), or a batch of them, shape
-        (T, m); a batch's outputs carry the batch axis first, and each of
-        its rows is bit for bit what that row's weights give alone.
-        """
-        batch = c.ndim == 2
-        scores = (c[:, None, :] if batch else c) - self.dist_p
-        winner = scores.argmax(axis=-1)  # first max: lowest atom index wins ties
-        if not batch:
-            s = scores.ravel()[self._flat + winner]
-            u = self.f.k(s)  # exactly 0 off the support (s <= 0)
-            return s, winner, u, np.bincount(winner, weights=u * self.vol, minlength=self.m)
-        # row t of the batch starts at t*n*m in the raveled scores and at
-        # t*m in the raveled cell masses, which bincount sums in cell order
-        rows = np.arange(len(c))[:, None]
-        s = scores.ravel()[self._flat + self.dist_p.size * rows + winner]
-        u = self.f.k(s.ravel()).reshape(s.shape)  # evaluators see 1-D arrays
-        cell_mass = np.bincount(
-            (winner + self.m * rows).ravel(), weights=(u * self.vol).ravel(), minlength=c.size
-        )
-        return s, winner, u, cell_mass.reshape(c.shape)
-
-    def dual_value(self, c: np.ndarray, s: np.ndarray) -> float:
-        return float(c @ self.atoms.masses) - float(
-            self.f.conjugate(np.maximum(s, 0.0)).sum() * self.vol
-        )
+    def dual_value(self, c: np.ndarray, s: np.ndarray, u: np.ndarray) -> float:
+        """c . masses - vol * sum f*(max(s, 0)), f* read off the density u = k(s)."""
+        conj = np.where(s > 0, s * u - self.f.f(u), 0.0).sum() * self.vol
+        return float(c @ self.atoms.masses) - float(conj)
 
     @cached_property
     def _layer(self) -> tuple[np.ndarray, np.ndarray]:
@@ -340,29 +321,15 @@ def cell_masses(
 
 
 def _coordinate_sweep(ws: _Workspace, c: np.ndarray, targets: np.ndarray):
-    """Gauss-Seidel pass: bisect each weight to its own mass balance.
-
-    While weight i moves the other weights stay fixed, so atom i's cells
-    follow from its own score column: it must beat every lower-index atom
-    strictly and at least tie every higher-index one (``stats``' first-max
-    rule), against per-cell bests computed once per weight. Atom i's mass is
-    then summed over its cells in cell order, as ``stats``' bincount sums
-    it, so every trial's mass is ``ws.stats(trial)[3][i]`` bit for bit.
-    """
+    """Gauss-Seidel pass: bisect each weight to its own mass balance, the
+    others held fixed; each trial's mass is one ``stats`` call's."""
     c = c.copy()
     for i in range(ws.m):
-        scores = c - ws.dist_p
-        # s > lower  <=>  s >= nextafter(lower, inf); no atom on a side
-        # leaves -inf there, which every finite score meets
-        lower = np.nextafter(scores[:, :i].max(axis=1), np.inf) if i else -np.inf
-        upper = scores[:, i + 1 :].max(axis=1) if i + 1 < ws.m else -np.inf
-        floor = np.maximum(lower, upper)
-        column = ws.dist_p[:, i].copy()
 
         def mass(weight):
-            s = weight - column
-            s = s[s >= floor]
-            return np.cumsum(ws.f.k(s) * ws.vol)[-1] if len(s) else 0.0
+            trial = c.copy()
+            trial[i] = weight
+            return ws.stats(trial)[3][i]
 
         lo, hi = 0.0, max(c[i], 1e-6)
         for _ in range(80):
@@ -399,10 +366,6 @@ def _level_polish(ws: _Workspace, c: np.ndarray, total: float):
         hi *= 2.0
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            # no float lies between lo and hi: whatever the mass at mid,
-            # this and every later step leave 0.5 * (lo + hi) equal to mid
-            break
         if mass_at(mid) < total:
             lo = mid
         else:
@@ -501,7 +464,7 @@ def _solve_weights_best(
         )
     best_c = c.copy()
     best_res = float(np.abs(cm - targets).max())
-    phi = ws.dual_value(c, s)
+    phi = ws.dual_value(c, s, u)
     seen = {_active_set(s, winner): 0}  # active set -> last iterate that had it
     # the crossover pivots about one cell per round
     reach = _PIVOTS * ws.vol * float(u.max())
@@ -795,43 +758,22 @@ def _certify(ws: _Workspace, c, winner, u, own, free, edges, runs, shares, run_m
     return _Solved(c, residual, split)
 
 
-# Newton step factors 2^0 ... 2^-43, every power of two above 1e-13; the
-# cells x atoms x trials cap on one batched line-search stats call, which
-# bounds its (trials, cells, atoms) temporaries at 256 KiB; and the smaller
-# budget that sizes the first batch, where a call on a small grid costs
-# mostly its overhead
-_STEP_FACTORS = 0.5 ** np.arange(44)
-_TRIAL_BUDGET = 1 << 15
-_FIRST_BATCH_BUDGET = 1 << 11
-
-
 def _line_search(ws: _Workspace, c: np.ndarray, step: np.ndarray, phi: float, slope: float):
-    """Armijo backtracking along ``step``: the first passing step factor.
+    """Armijo backtracking along ``step``: halve the step factor from 1 until
+    the test passes, one ``stats`` call per factor, down to 1e-13.
 
-    Factors are tried in order, as a one-at-a-time halving loop tries them,
-    but in batches of one ``stats`` call each: a first batch of as many
-    trials as fit the first-batch budget (a single trial on a large grid),
-    then twice as many per call up to the trial budget.
     Returns (weights, cell masses, dual value, active set) of the accepted
     trial, or None when no factor passes.
     """
-    masses = ws.atoms.masses
     slack = 1e-13 * (1.0 + abs(phi))
-    cap = max(1, _TRIAL_BUDGET // ws.dist_p.size)
-    start, width = 0, max(1, _FIRST_BATCH_BUDGET // ws.dist_p.size)
-    while start < len(_STEP_FACTORS):
-        lams = _STEP_FACTORS[start : start + width]
-        trials = c + lams[:, None] * step
-        s, winner, u, cm = ws.stats(trials)
-        # f*(max(s, 0)) from the density: k(max(s, 0)) == k(s) == u
-        fu = ws.f.f(u.ravel()).reshape(u.shape)
-        conj = np.where(s > 0, s * u - fu, 0.0).sum(axis=1) * ws.vol
-        for t, lam in enumerate(lams.tolist()):
-            phi2 = float(trials[t] @ masses) - float(conj[t])
-            if phi2 >= phi + 1e-4 * lam * slope - slack:
-                return trials[t], cm[t], phi2, _active_set(s[t], winner[t])
-        start += width
-        width = min(2 * width, cap)
+    lam = 1.0
+    while lam > 1e-13:
+        trial = c + lam * step
+        s, winner, u, cm = ws.stats(trial)
+        phi2 = ws.dual_value(trial, s, u)
+        if phi2 >= phi + 1e-4 * lam * slope - slack:
+            return trial, cm, phi2, _active_set(s, winner)
+        lam *= 0.5
     return None
 
 
@@ -890,7 +832,7 @@ def _evaluate(ws: _Workspace, c: np.ndarray, split=None):
         "transport": transport,
         "F": f_term,
         "total": transport + f_term,
-        "dual_objective": ws.dual_value(c, s),
+        "dual_objective": ws.dual_value(c, s, u),
         "mass_residual": float(np.abs(cm - ws.atoms.masses).max()),
     }
     return density, breakdown, plan

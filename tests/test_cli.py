@@ -257,8 +257,9 @@ class TestConfigHandling:
             {"domain": [[1.0, 0.0]]},
             {"atoms": [{"point": [0.4], "mass": 0.5}, {"point": [0.4], "mass": 0.5}]},
             {"tolerances": {"mass_balance": "x"}},
+            {"f": ["quadratic"]},
         ],
-        ids=["grid-axes", "grid-zero", "empty-interval", "repeated-atom", "tolerance-type"],
+        ids=["grid-axes", "grid-zero", "empty-interval", "repeated-atom", "tolerance-type", "f-not-object"],
     )
     def test_malformed_config_is_a_config_error(self, tmp_path, capsys, override):
         atoms = [{"point": [0.3], "mass": 0.5}, {"point": [0.7], "mass": 0.5}]
@@ -267,6 +268,38 @@ class TestConfigHandling:
         )
         out = tmp_path / "run"
         assert main(["mu-subproblem", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode, missing",
+        [
+            ("mu-subproblem", "atoms"),
+            ("mu-subproblem", "domain"),
+            ("plan-bounded", "atoms"),
+            ("plan-bounded", "domain"),
+            ("validate", "domain"),
+            ("validate", "validate.sites"),
+            ("validate", "validate object"),
+        ],
+    )
+    def test_missing_key_is_a_config_error(self, tmp_path, capsys, mode, missing):
+        raw = {
+            **BASE,
+            "domain": [[0.0, 1.0]],
+            "grid": 16,
+            "rounds": 1,
+            "atoms": [{"point": [0.3], "mass": 0.5}, {"point": [0.7], "mass": 0.5}],
+            "validate": {"grid": 8, "sites": [[0.3], [0.7]], "mass_units": 4},
+        }
+        if missing == "validate.sites":
+            del raw["validate"]["sites"]
+        elif missing == "validate object":  # a list where the object with 'sites' belongs
+            raw["validate"] = [[0.3], [0.7]]
+        else:
+            del raw[missing]
+        out = tmp_path / "run"
+        assert main([mode, "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
 

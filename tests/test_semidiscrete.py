@@ -245,82 +245,96 @@ def _naive_stats(ws, c, k_of_positive):
     return s, winner, u, cell_mass
 
 
+def _conjugate_dual(ws, c, s):
+    """The dual value c . masses - vol * sum f*(max(s, 0)) through f.conjugate."""
+    return float(c @ ws.atoms.masses) - float(ws.f.conjugate(np.maximum(s, 0.0)).sum() * ws.vol)
+
+
+def _custom_family(k_impl=np.log1p):
+    from subcities import FunctionFamily
+
+    return FunctionFamily(
+        kind="custom", f_impl=lambda s: np.expm1(s) - s, f_prime_impl=np.expm1, k_impl=k_impl
+    )
+
+
 class TestWorkspaceStats:
-    def _check(self, atoms, f, grid, c, k_of_positive):
+    def _check(self, atoms, f, grid, c, k_of_positive, p=2.0):
         from subcities.semidiscrete import _Workspace
 
-        ws = _Workspace(atoms, f, 2.0, grid)
+        ws = _Workspace(atoms, f, p, grid)
         c = np.asarray(c, dtype=float)
         for got, want in zip(ws.stats(c), _naive_stats(ws, c, k_of_positive)):
             assert np.array_equal(got, want)
 
+    @staticmethod
+    def _power():
+        f = power_f(1.2, 2.5)
+        kappa = (f.a * f.q) ** (-1.0 / (f.q - 1.0))
+        return f, lambda t: kappa * t ** (1.0 / (f.q - 1.0))
+
     def test_symmetric_ties_go_to_the_lowest_index(self):
         # odd resolutions put cell centres on the bisectors of the atom pairs
-        f = power_f(1.2, 2.5)
-        kappa = (f.a * f.q) ** (-1.0 / (f.q - 1.0))
-        k_pos = lambda t: kappa * t ** (1.0 / (f.q - 1.0))
+        f, k_pos = self._power()
         grid = Grid(Domain.box([(0, 1), (0, 1)]), (17, 17))
         atoms = AtomicMeasure([[0.25, 0.5], [0.75, 0.5], [0.5, 0.25]], [0.3, 0.3, 0.4])
-        self._check(atoms, f, grid, [0.05, 0.05, 0.05], k_pos)
         pair = AtomicMeasure([[0.25], [0.75]], [0.5, 0.5])
-        self._check(pair, f, grid1d(0, 1, 33), [0.1, 0.1], k_pos)
+        for p in (1.0, 1.5, 2.0):
+            self._check(atoms, f, grid, [0.05, 0.05, 0.05], k_pos, p)
+            self._check(pair, f, grid1d(0, 1, 33), [0.1, 0.1], k_pos, p)
 
     def test_custom_family(self):
-        from subcities import FunctionFamily
-
-        k_impl = lambda t: np.log1p(t)
-        f = FunctionFamily(
-            kind="custom",
-            f_impl=lambda s: np.expm1(s) - s,
-            f_prime_impl=np.expm1,
-            k_impl=k_impl,
-        )
+        seen = []
+        f = _custom_family(lambda t: seen.append(np.shape(t)) or np.log1p(t))
         atoms = AtomicMeasure([[0.2], [0.5], [0.8]], [0.3, 0.3, 0.4])
-        self._check(atoms, f, grid1d(0, 1, 64), [0.01, 0.03, -0.01], k_impl)
+        for p in (1.0, 1.5, 2.0):
+            self._check(atoms, f, grid1d(0, 1, 64), [0.01, 0.03, -0.01], np.log1p, p)
+        assert seen and all(len(shape) == 1 for shape in seen)  # evaluators see 1-D arrays
 
-    @pytest.mark.parametrize("T", [1, 3, 44])
-    def test_batched_rows_equal_single_calls(self, T):
-        from subcities import FunctionFamily
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_perturbed_ties(self, p):
+        # a common shift keeps the ties; per-atom noise breaks them
+        f, k_pos = self._power()
+        rng = np.random.default_rng(3)
+        cases = [
+            (AtomicMeasure([[0.25, 0.5], [0.75, 0.5], [0.5, 0.25]], [0.3, 0.3, 0.4]),
+             f, k_pos, Grid(Domain.box([(0, 1), (0, 1)]), (17, 17)), [0.05, 0.05, 0.05]),
+            (AtomicMeasure([[0.25], [0.75]], [0.5, 0.5]), f, k_pos, grid1d(0, 1, 33), [0.1, 0.1]),
+            (AtomicMeasure([[0.2], [0.5], [0.8]], [0.3, 0.3, 0.4]),
+             _custom_family(), np.log1p, grid1d(0, 1, 64), [0.01, 0.03, -0.01]),
+            (AtomicMeasure([[0.31, 0.62], [0.7, 0.4]], [0.45, 0.55]),
+             f, k_pos, Grid(Domain.box([(0, 1), (0, 1)]), (12, 9)), [0.3, 0.2]),
+        ]
+        for atoms, fam, k_of_positive, grid, c0 in cases:
+            for t in range(7):
+                c = np.asarray(c0) + (rng.uniform(-0.02, 0.02) if t else 0.0)
+                if t % 2:
+                    c = c + rng.uniform(-0.01, 0.01, len(c))
+                self._check(atoms, fam, grid, c, k_of_positive, p)
+
+    @pytest.mark.parametrize(
+        "f", [quadratic(), power_f(1.2, 2.5), _custom_family()], ids=["quadratic", "power", "custom"]
+    )
+    def test_dual_value_is_the_conjugate_form(self, f):
+        # f* read off the density, s u - f(u) on the support, is the
+        # conjugate of max(s, 0) bit for bit; the weights leave cells of
+        # every grid off the support
         from subcities.semidiscrete import _Workspace
 
-        f = power_f(1.2, 2.5)
-        kappa = (f.a * f.q) ** (-1.0 / (f.q - 1.0))
-        k_pos = lambda t: kappa * t ** (1.0 / (f.q - 1.0))
-        seen = []
-        custom = FunctionFamily(
-            kind="custom",
-            f_impl=lambda s: np.expm1(s) - s,
-            f_prime_impl=np.expm1,
-            k_impl=lambda t: seen.append(np.shape(t)) or np.log1p(t),
-        )
-        square = Grid(Domain.box([(0, 1), (0, 1)]), (17, 17))
+        rng = np.random.default_rng(5)
         cases = [
-            # odd resolutions put cell centres on the bisectors: exact ties
-            (AtomicMeasure([[0.25, 0.5], [0.75, 0.5], [0.5, 0.25]], [0.3, 0.3, 0.4]),
-             f, k_pos, 2.0, square, [0.05, 0.05, 0.05]),
-            (AtomicMeasure([[0.25], [0.75]], [0.5, 0.5]),
-             f, k_pos, 1.5, grid1d(0, 1, 33), [0.1, 0.1]),
-            (AtomicMeasure([[0.2], [0.5], [0.8]], [0.3, 0.3, 0.4]),
-             custom, np.log1p, 1.0, grid1d(0, 1, 64), [0.01, 0.03, -0.01]),
-            (AtomicMeasure([[0.31, 0.62], [0.7, 0.4]], [0.45, 0.55]),
-             f, k_pos, 1.0, Grid(Domain.box([(0, 1), (0, 1)]), (12, 9)), [0.3, 0.2]),
+            (AtomicMeasure([[0.2], [0.5], [0.8]], [0.3, 0.3, 0.4]), grid1d(0, 1, 64)),
+            (AtomicMeasure([[0.3, 0.5], [0.7, 0.5], [0.5, 0.2]], [0.4, 0.35, 0.25]),
+             Grid(Domain.box([(0, 1), (0, 1)]), (24, 24))),
         ]
-        rng = np.random.default_rng(T)
-        for atoms, fam, k_of_positive, p, grid, c0 in cases:
-            ws = _Workspace(atoms, fam, p, grid)
-            # a common shift keeps the ties; per-atom noise breaks them
-            batch = np.asarray(c0) + rng.uniform(-0.02, 0.02, (T, 1))
-            batch[1::2] += rng.uniform(-0.01, 0.01, batch[1::2].shape)
-            seen.clear()
-            got = ws.stats(batch)
-            assert all(len(shape) == 1 for shape in seen)
-            assert got[0].shape == got[1].shape == got[2].shape == (T, grid.n_cells)
-            assert got[3].shape == (T, len(atoms))
-            for t in range(T):
-                want = _naive_stats(ws, batch[t], k_of_positive)
-                for g, single, w in zip(got, ws.stats(batch[t]), want):
-                    assert np.array_equal(g[t], single)
-                    assert np.array_equal(g[t], w)
+        for atoms, grid in cases:
+            for p in (1.0, 1.5, 2.0):
+                ws = _Workspace(atoms, f, p, grid)
+                for _ in range(4):
+                    c = rng.uniform(-0.02, 0.08, ws.m)
+                    s, _, u, _ = ws.stats(c)
+                    assert (s <= 0).any() and (s > 0).any()
+                    assert ws.dual_value(c, s, u) == _conjugate_dual(ws, c, s)
 
 
 class TestSolveWeights:
@@ -528,7 +542,7 @@ def _reference_solve(ws, tol, max_iter=500):
         raise GridTooCoarse("no supporting cell")
     reach = _PIVOTS * ws.vol * float(u.max())
     best_c, best_res = c.copy(), float(np.abs(cm - targets).max())
-    phi = ws.dual_value(c, s)
+    phi = _conjugate_dual(ws, c, s)
     seen = {np.where(s > 0, winner, -1).tobytes(): 0}
     handed = []
     it = 0
@@ -548,7 +562,7 @@ def _reference_solve(ws, tol, max_iter=500):
         while lam > 1e-13:
             c_try = c + lam * step
             s2, w2, _, cm2 = ws.stats(c_try)
-            phi2 = ws.dual_value(c_try, s2)
+            phi2 = _conjugate_dual(ws, c_try, s2)
             if phi2 >= phi + 1e-4 * lam * slope - 1e-13 * (1.0 + abs(phi)):
                 c, cm, phi, accepted = c_try, cm2, phi2, True
                 key = np.where(s2 > 0, w2, -1).tobytes()
@@ -595,9 +609,9 @@ def _random_workspace(rng):
 
 
 class TestBitIdentity:
-    """The batched line search, the tabulated Jacobian layer widths, the
-    one-column sweep and the polish's early stop reproduce the plain loops
-    bit for bit."""
+    """The weight solve, its line search, sweep and polish reproduce the
+    plain reference loops here bit for bit, and the tabulated Jacobian layer
+    widths reproduce the term-by-term Jacobian."""
 
     def test_solve_matches_sequential_line_search(self, monkeypatch):
         # with a crossover that never finds a split, the solve is the plain
@@ -645,10 +659,8 @@ class TestBitIdentity:
         assert solved >= 200 and above_floor > 10 and early > 10
 
     def test_line_search_matches_halving_loop(self):
-        # grids past numpy's 128-element pairwise-sum blocks, where the
-        # trial budget caps the batches at 2 and at 21 trials, and small
-        # grids, where the first batch already holds 21 (32 cells x 3
-        # atoms) or 2 (16^2 x 3) factors
+        # grids past numpy's 128-element pairwise-sum blocks and small
+        # grids; the dual value through f.conjugate
         from subcities.semidiscrete import _line_search, _Workspace
 
         def halving(ws, c, step, phi, slope):
@@ -656,7 +668,7 @@ class TestBitIdentity:
             while lam > 1e-13:
                 c_try = c + lam * step
                 s2, _, _, cm2 = ws.stats(c_try)
-                phi2 = ws.dual_value(c_try, s2)
+                phi2 = _conjugate_dual(ws, c_try, s2)
                 if phi2 >= phi + 1e-4 * lam * slope - 1e-13 * (1.0 + abs(phi)):
                     return (c_try, cm2, phi2), lam
                 lam *= 0.5
@@ -677,7 +689,7 @@ class TestBitIdentity:
             for t in range(17):
                 c = rng.uniform(0.02, 0.2, ws.m)
                 s, _, _, cm = ws.stats(c)
-                phi = ws.dual_value(c, s)
+                phi = _conjugate_dual(ws, c, s)
                 if t < 16:
                     step = (atoms.masses - cm) * 10.0 ** rng.uniform(-2.0, 9.0)
                     slope = float((atoms.masses - cm) @ step)
@@ -690,8 +702,38 @@ class TestBitIdentity:
                     taken.add(lam)
                     for g, w in zip(got, want):
                         assert np.array_equal(g, w)
-            # the full step, and factors inside and past the first batch
+            # the full step, and long backtracks
             assert 1.0 in taken and min(taken) < 0.5**21 and len(taken) > 6
+
+    def test_line_search_evaluates_only_the_factors_it_tries(self):
+        # one weight vector per stats call: the full step alone when it
+        # passes, the accepted factor 2^-k and every larger one otherwise
+        from subcities.semidiscrete import _line_search, _Workspace
+
+        atoms = AtomicMeasure([[0.2], [0.45], [0.8]], [0.3, 0.3, 0.4])
+        ws = _Workspace(atoms, quadratic(), 2.0, grid1d(0, 1, 32))
+        stats, vectors = ws.stats, []
+        ws.stats = lambda w: vectors.append(len(np.atleast_2d(w))) or stats(w)
+        rng = np.random.default_rng(15)
+        tried = set()
+        for scale in (1e-2, 1e-1, 1.0, 1e2, 1e4, 1e6, 1e8, None):
+            c = rng.uniform(0.02, 0.2, ws.m)
+            s, _, u, cm = stats(c)
+            if scale is None:  # a descent direction claimed steep: no factor passes
+                step, slope = cm - atoms.masses, 1e6
+            else:
+                step = (atoms.masses - cm) * scale
+                slope = float((atoms.masses - cm) @ step)
+            vectors.clear()
+            found = _line_search(ws, c, step, ws.dual_value(c, s, u), slope)
+            assert set(vectors) == {1}
+            if found is None:
+                assert scale is None and len(vectors) == 44  # 2^0 ... 2^-43
+                continue
+            k = len(vectors) - 1  # the accepted factor is the last one tried
+            assert np.array_equal(found[0], c + 0.5**k * step)
+            tried.add(k)
+        assert 0 in tried and max(tried) > 10
 
     def test_full_jacobian_matches_add_at(self):
         rng = np.random.default_rng(12)
@@ -751,13 +793,8 @@ class TestBitIdentity:
             c = rng.uniform(0.0, 0.3, ws.m)
             total = float(rng.uniform(0.5, 1.0))
             want, pinned, made = _reference_polish(ws, c, total)
-            calls = []
-            stats = ws.stats
-            ws.stats = lambda w: calls.append(w) or stats(w)
             assert np.array_equal(_level_polish(ws, c, total), want)
-            # the polish stops evaluating once the midpoint is pinned
-            assert len(calls) == pinned
-            stopped += pinned < made
+            stopped += pinned < made  # bisected past float adjacency
         assert stopped > 30
 
 
