@@ -189,10 +189,6 @@ def _atomization_payload(report) -> dict:
     }
 
 
-def _objective_payload(objective: dict) -> dict:
-    return {k: v for k, v in objective.items() if v is not None}
-
-
 def _write_density(solution_mu, outdir: Path, artifacts: list):
     solution_mu.to_csv(outdir / "density.csv")
     artifacts.append("density.csv")
@@ -221,7 +217,7 @@ def _run_plan_rn(cfg: RunConfig, outdir: Path) -> dict:
         "m0": subadditivity_threshold(curve),
         "radius_bound": radius_of_mass(cfg.f, cfg.p, cfg.n, 1.0),
         "profiles": _profiles_payload(solution),
-        "objective": _objective_payload(solution.objective),
+        "objective": solution.objective,
         "atomization": _atomization_payload(condition),
         "heuristic_flags": solution.metadata,
         "artifacts": artifacts,
@@ -248,7 +244,7 @@ def _run_plan_bounded(cfg: RunConfig, outdir: Path) -> dict:
             for pt, m in zip(solution.nu.points, solution.nu.masses)
         ],
         "profiles": _profiles_payload(solution),
-        "objective": _objective_payload(solution.objective),
+        "objective": solution.objective,
         "heuristic_flags": solution.metadata,
         "artifacts": artifacts,
     }

@@ -25,12 +25,15 @@ solve goes on as without it, and if Newton stops above the tolerance one
 monotone pass (a per-coordinate bisection sweep, then a uniform shift
 balancing the total mass) starts from its best iterate and is kept only if
 it lowers the residual.
+
+Every smooth one-dimensional solve is one bracketed Newton root-finder
+(``_monotone_root``): the crossover's and the pass's level shifts, and a
+custom family's ball radius R(m).
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -50,8 +53,6 @@ from .functionals import FunctionFamily, eval_F
 from .measures import AtomicMeasure, Grid, GridDensity, WeightedPointCloud
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-_log = logging.getLogger("subcities")
 
 
 def unit_ball_volume(n: int) -> float:
@@ -134,8 +135,8 @@ def radius_of_mass(f: FunctionFamily, p: float, n: int, m):
 
     The power catalogue's profile mass is m(1) R^e with e = n + p alpha, so
     R = (m / m(1))^(1/e) in closed form, one numpy expression whether m is
-    a scalar or an array. A custom family bisects each entry on its
-    quadrature mass (``_invert_mass``). Every entry must lie in (0, 1].
+    a scalar or an array. A custom family solves each entry's quadrature
+    mass by Newton (``_invert_mass``). Every entry must lie in (0, 1].
     """
     marr = np.atleast_1d(np.asarray(m, dtype=float))
     if np.any(marr <= 0.0):
@@ -150,27 +151,16 @@ def radius_of_mass(f: FunctionFamily, p: float, n: int, m):
 
 
 def _invert_mass(f: FunctionFamily, p: float, n: int, m: float) -> float:
-    """R(m) by bisection on ``mass_of_radius``, seeded by the quadratic closed form."""
-    hi = (m * (n + p) / (unit_ball_volume(n) * p)) ** (1.0 / (n + p))
-    for _ in range(200):
-        if mass_of_radius(f, p, n, hi) >= m:
-            break
-        hi *= 2.0
-    else:
-        raise NoConvergence("mass-radius bracket expansion failed")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = mass_of_radius(f, p, n, mid)
-        if abs(val - m) <= 1e-13:
-            return mid
-        if val < m:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-17 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    """R(m) by Newton on ``mass_of_radius``, from the quadratic closed form.
+
+    dm/dR = p R^(p-1) ``kprime_radial_integral`` as k(0) = 0.
+    """
+    def gap(R):
+        slope = p * R ** (p - 1.0) * kprime_radial_integral(f, p, n, R)
+        return mass_of_radius(f, p, n, R) - m, slope
+
+    start = (m * (n + p) / (unit_ball_volume(n) * p)) ** (1.0 / (n + p))
+    return _monotone_root(gap, start, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,26 +341,8 @@ def _coordinate_sweep(ws: _Workspace, c: np.ndarray, targets: np.ndarray):
 
 
 def _level_polish(ws: _Workspace, c: np.ndarray, total: float):
-    """Uniform shift balancing total mass; smooth and always solvable."""
-    def mass_at(delta):
-        return float(ws.stats(c + delta)[3].sum())
-
-    lo, hi = -1.0, 1.0
-    for _ in range(80):
-        if mass_at(lo) <= total:
-            break
-        lo *= 2.0
-    for _ in range(80):
-        if mass_at(hi) >= total:
-            break
-        hi *= 2.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if mass_at(mid) < total:
-            lo = mid
-        else:
-            hi = mid
-    return c + 0.5 * (lo + hi)
+    """Uniform shift balancing total mass; it keeps every cell's winner."""
+    return c + _level(ws.f, ws.vol, ws.stats(c)[0], total)
 
 
 def solve_weights(
@@ -391,7 +363,8 @@ def solve_weights(
     (``DualWeights.split``): the exact discrete optimum, whatever ``tol``
     asks, at a cost that does not grow as ``tol`` tightens. If it
     finds no split and Newton stopped above ``tol``, one pass of
-    per-coordinate bisection plus a total-mass level polish runs from
+    per-coordinate bisection plus a uniform shift balancing the total mass
+    (one Newton solve on the winners of one ``stats`` call) runs from
     Newton's best iterate. Raises NoConvergence with the best residual when
     the requested tolerance is out of reach.
     """
@@ -403,15 +376,14 @@ def _solve_weights(atoms, f, p, grid, tol, max_iter):
     if not atoms.is_probability():
         raise NotProbability("solve_weights needs a probability atomic measure")
     ws = _Workspace(atoms, f, p, grid)
-    solved = _solve_weights_best(atoms, f, p, grid, tol, max_iter, ws=ws)
-    c, residual = solved
+    c, residual, split = _solve_weights_best(atoms, f, p, grid, tol, max_iter, ws=ws)
     if residual > tol:
         raise NoConvergence(
             f"mass balance reached {residual:.3e} > tol {tol:.3e}; "
             "refine the grid or relax the tolerance",
             residual=residual,
         )
-    return DualWeights(c=c, atoms=atoms, residual=residual, split=solved.split), ws
+    return DualWeights(c=c, atoms=atoms, residual=residual, split=split), ws
 
 
 def _solve_weights_best(
@@ -423,10 +395,11 @@ def _solve_weights_best(
     max_iter: int = 500,
     ws: _Workspace | None = None,
 ):
-    """Best-effort weight solve; returns ``(c, residual)`` without raising.
+    """Best-effort weight solve; returns ``(c, residual, split)`` without raising.
 
-    The result unpacks as that pair and carries the tied-cell split as
-    ``.split`` (None when every cell has one owner). Newton hands over to
+    ``split`` is the tied-cell split as in ``DualWeights.split``, (cells,
+    shares) with each row of shares one cell's fractions per atom, or None
+    when every cell has one owner. Newton hands over to
     ``_crossover`` from its best iterate once, at the first accepted
     iterate whose active set (each cell's winner, -1 off the support)
     repeats one from before the previous iterate, or whose best residual
@@ -475,16 +448,11 @@ def _solve_weights_best(
         r = cm - targets
         J = ws.full_jacobian(c)
         scale = max(float(np.trace(J)) / ws.m, 1e-12)
-        try:
-            step = np.linalg.solve(J + 1e-10 * scale * np.eye(ws.m), -r)
-        except np.linalg.LinAlgError:
-            step = -r / np.maximum(np.diag(J), 1e-12)
+        # J is a nonnegative diagonal plus one graph-Laplacian term per
+        # boundary pair, so the shifted system is symmetric positive
+        # definite and its step ascends
+        step = np.linalg.solve(J + 1e-10 * scale * np.eye(ws.m), -r)
         slope = float(-r @ step)
-        if slope <= 0:
-            # the dual is concave, so the Newton direction should ascend
-            _log.warning("Newton step is not an ascent direction (slope %.3e)", slope)
-            step = -r
-            slope = float(r @ r)
         phi_prev = phi
         found = _line_search(ws, c, step, phi, slope)
         if found is not None:
@@ -513,21 +481,7 @@ def _solve_weights_best(
         res = float(np.abs(ws.stats(c)[3] - targets).max())
         if res < best_res:
             best_res, best_c = res, c
-    return _Solved(best_c, best_res)
-
-
-class _Solved(tuple):
-    """``(c, residual)`` of a weight solve with its tied-cell split as ``split``.
-
-    It unpacks as that pair, as ``os.stat_result`` unpacks as its first ten
-    fields; ``split`` is (cells, shares), each row of shares one cell's
-    fractions per atom, or None.
-    """
-
-    def __new__(cls, c, residual, split=None):
-        out = super().__new__(cls, (c, residual))
-        out.split = split
-        return out
+    return best_c, best_res, None
 
 
 def _active_set(s: np.ndarray, winner: np.ndarray) -> bytes:
@@ -698,48 +652,56 @@ def _side(edges, e: int, a: int) -> set:
     return side
 
 
-_LEVEL_ULPS = 4.0 * np.finfo(float).eps
+_ROOT_ULPS = 4.0 * np.finfo(float).eps
+
+
+def _monotone_root(gap, x: float, lo: float, scale: float, floor: float) -> float:
+    """A root of a continuous nondecreasing function, by Newton from ``x``.
+
+    ``gap(x)`` returns (value, slope); the value is <= 0 at ``lo`` and
+    constant below ``floor``. A Newton step of a few ulps of |x| + ``scale``
+    ends the search: below that, the value is rounding noise. Other steps
+    stay inside the bracket of the root found so far; one that would leave
+    it bisects, or, while an end of the bracket is unknown, moves 1 + |end|
+    past the known end (and past ``floor`` when moving up).
+    """
+    hi = np.inf
+    for _ in range(100):
+        value, slope = gap(x)
+        if value == 0.0:
+            break
+        nxt = x - value / slope if slope > 0.0 else np.nan
+        if abs(nxt - x) <= _ROOT_ULPS * (abs(x) + scale):
+            return nxt
+        if value < 0.0:
+            lo = x
+        else:
+            hi = x
+        if not lo < nxt < hi:
+            if np.isfinite(lo) and np.isfinite(hi):
+                nxt = 0.5 * (lo + hi)
+            elif np.isfinite(lo):
+                nxt = max(lo, floor) + 1.0 + abs(lo)
+            else:
+                nxt = hi - 1.0 - abs(hi)
+        if nxt in (x, lo, hi):
+            break
+        x = nxt
+    return x
 
 
 def _level(f: FunctionFamily, vol: float, base: np.ndarray, target: float) -> float:
-    """The shift L with vol * sum k(L + base) = target, ``base`` not empty.
-
-    The mass is continuous and nondecreasing in L. Newton steps stay inside
-    the bracket of the root found so far; a step that would leave it
-    bisects, or, while one end is still unknown, moves by 1 + |L| that way.
-    A Newton step of a few ulps of |L| + max|base| ends the search: below
-    that, the gap is rounding noise in L + base.
-    """
-    level, lo, hi = 0.0, -np.inf, np.inf
-    scale = float(np.abs(base).max())
-    for _ in range(100):
+    """The shift L with vol * sum k(L + base) = target, ``base`` not empty;
+    the mass is continuous and nondecreasing in L."""
+    def gap(level):
         t = level + base
-        gap = float(f.k(t).sum()) * vol - target
-        if gap == 0.0:
-            break
-        if gap < 0.0:
-            lo = level
-        else:
-            hi = level
-        slope = float(f.k_prime(t).sum()) * vol
-        nxt = level - gap / slope if slope > 0.0 else np.nan
-        if lo < nxt < hi:
-            if abs(nxt - level) <= _LEVEL_ULPS * (abs(level) + scale):
-                return nxt
-        elif np.isfinite(lo) and np.isfinite(hi):
-            nxt = 0.5 * (lo + hi)
-        elif np.isfinite(lo):
-            nxt = max(lo, -float(base.max())) + 1.0 + abs(lo)
-        else:
-            nxt = hi - 1.0 - abs(hi)
-        if nxt in (level, lo, hi):
-            break
-        level = nxt
-    return level
+        return float(f.k(t).sum()) * vol - target, float(f.k_prime(t).sum()) * vol
+
+    return _monotone_root(gap, 0.0, -np.inf, float(np.abs(base).max()), -float(base.max()))
 
 
 def _certify(ws: _Workspace, c, winner, u, own, free, edges, runs, shares, run_mass):
-    """``_Solved`` of a consistent crossover round: c, residual and split.
+    """(c, residual, split) of a consistent crossover round.
 
     Each run is shared as its edge's flow says; a cell outside the runs
     that ``stats`` gives another atom by a margin below the tie tolerance
@@ -755,7 +717,7 @@ def _certify(ws: _Workspace, c, winner, u, own, free, edges, runs, shares, run_m
     cells = np.concatenate(runs + [moved])
     split = (cells, np.concatenate(rows + [np.eye(ws.m)[own[moved]]])) if len(cells) else None
     residual = float(np.abs(_split_masses(ws, winner, u, split) - ws.atoms.masses).max())
-    return _Solved(c, residual, split)
+    return c, residual, split
 
 
 def _line_search(ws: _Workspace, c: np.ndarray, step: np.ndarray, phi: float, slope: float):

@@ -126,7 +126,7 @@ def test_criterion_5_ball_support_structure():
     for atoms, p, bounds, cells in matrix:
         dim = atoms.dim
         grid = sc.Grid(sc.Domain.box([bounds] * dim), (cells,) * dim)
-        c, _ = _solve_weights_best(atoms, f, p, grid, tol=1e-8)
+        c, _, _ = _solve_weights_best(atoms, f, p, grid, tol=1e-8)
         density = sc.density_from_weights(atoms, c, f, p, grid)
         centers = grid.cell_centers()
         h = grid.cell_diameter

@@ -657,7 +657,7 @@ class TestBoundedRefusal:
             if not when(atoms):
                 return solved
             seen.append(len(atoms))
-            return semidiscrete._Solved(solved[0], 1.0, solved.split)
+            return solved[0], 1.0, solved[2]
 
         monkeypatch.setattr(semidiscrete, "_solve_weights_best", above_tol)
         return seen

@@ -1,5 +1,3 @@
-import logging
-
 import numpy as np
 import pytest
 
@@ -151,8 +149,22 @@ def _invert_by_mass_of_radius(f, p, n, m):
     return 0.5 * (lo + hi)
 
 
+def _custom_quadratic():
+    """The quadratic f given as a custom family, with its k'."""
+    from subcities import FunctionFamily
+
+    return FunctionFamily(
+        kind="custom",
+        f_impl=lambda s: 0.5 * s * s,
+        f_prime_impl=lambda s: s,
+        k_impl=lambda t: t,
+        k_prime_impl=lambda t: np.ones_like(t),
+    )
+
+
 class TestInvertMass:
-    """R(m) inverts m(R): closed form for the power catalogue, bisection for a custom family."""
+    """R(m) inverts m(R): closed form for the power catalogue, Newton on the
+    quadrature mass for a custom family."""
 
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
@@ -178,7 +190,51 @@ class TestInvertMass:
             k_prime_impl=lambda t: np.ones_like(t),
         )
         for m in (1e-3, 0.4):
-            assert _invert_mass(f, 2.0, 2, m) == _invert_by_mass_of_radius(f, 2.0, 2, m)
+            assert _invert_mass(f, 2.0, 2, m) == pytest.approx(
+                _invert_by_mass_of_radius(f, 2.0, 2, m), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_custom_round_trip(self, monkeypatch, p, n):
+        # the quadratic given as a custom family (the closed-form start is
+        # its root) and a cubic f, k = sqrt, whose k' is a finite difference
+        from subcities import FunctionFamily, semidiscrete
+
+        cubic = FunctionFamily(
+            kind="custom", f_impl=lambda s: s**3 / 3.0, f_prime_impl=lambda s: s * s, k_impl=np.sqrt
+        )
+        calls = []
+        monkeypatch.setattr(
+            semidiscrete, "mass_of_radius", lambda *a: calls.append(a) or mass_of_radius(*a))
+        for f in (_custom_quadratic(), cubic):
+            for m in np.geomspace(1e-9, 1.0, 25).tolist():
+                calls.clear()
+                R = radius_of_mass(f, p, n, m)
+                assert len(calls) <= 16
+                assert abs(mass_of_radius(f, p, n, R) - m) <= 1e-14 * m
+
+    def test_start_at_the_root(self, monkeypatch):
+        # a start that is the root to rounding ends the search at once: the
+        # custom quadratic's closed-form start, and a cubic's root and its
+        # float neighbours
+        from subcities import semidiscrete
+        from subcities.semidiscrete import _monotone_root
+
+        calls = []
+        monkeypatch.setattr(
+            semidiscrete, "mass_of_radius", lambda *a: calls.append(a) or mass_of_radius(*a))
+        radius_of_mass(_custom_quadratic(), 2.0, 2, 10**-2.5)
+        assert len(calls) <= 2
+
+        def gap(x):
+            calls.append(x)
+            return x**3 - 2.0, 3.0 * x * x
+
+        root = 2.0 ** (1.0 / 3.0)
+        for start in (root, np.nextafter(root, 0.0), np.nextafter(root, 2.0)):
+            calls.clear()
+            assert abs(_monotone_root(gap, start, 0.0, 0.0, 0.0) - root) <= 2 * np.spacing(root)
+            assert len(calls) <= 2
 
 
 class TestDensityFromWeights:
@@ -355,7 +411,7 @@ class TestSolveWeights:
         base = solve_weights(
             AtomicMeasure([[0.35], [0.65]], [0.5, 0.5]), f, 2.0, grid, tol=1e-8
         )
-        bumped, _ = _best_effort(
+        bumped, _, _ = _best_effort(
             AtomicMeasure([[0.35], [0.65]], [0.56, 0.44]), f, 2.0, grid
         )
         assert bumped[0] > base.c[0]
@@ -459,13 +515,9 @@ def _reference_jacobian(ws, c):
 
 
 def _reference_polish(ws, c, total):
-    """_level_polish with all 100 bisection steps; also returns how many mass
-    evaluations came before the first midpoint equal to an end of the
-    bracket, and how many were made in all."""
-    calls = []
+    """_level_polish by bisection: 100 steps, each mass read from a full stats call."""
 
     def mass_at(delta):
-        calls.append(delta)
         return float(ws.stats(c + delta)[3].sum())
 
     lo, hi = -1.0, 1.0
@@ -477,16 +529,13 @@ def _reference_polish(ws, c, total):
         if mass_at(hi) >= total:
             break
         hi *= 2.0
-    pinned = None
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if pinned is None and (mid == lo or mid == hi):
-            pinned = len(calls)
         if mass_at(mid) < total:
             lo = mid
         else:
             hi = mid
-    return c + 0.5 * (lo + hi), len(calls) if pinned is None else pinned, len(calls)
+    return c + 0.5 * (lo + hi)
 
 
 def _reference_sweep(ws, c, targets):
@@ -522,6 +571,8 @@ def _reference_solve(ws, tol, max_iter=500):
     crossover's reach (the mass of _PIVOTS of the start's largest cells),
     and the best one at the end, wherever Newton stopped, unless it was the
     one already handed over."""
+    from subcities.semidiscrete import _level_polish
+
     targets = ws.atoms.masses
     c = np.array([radius_of_mass(ws.f, ws.p, ws.grid.domain.dim, m) for m in targets]) ** ws.p
     s, winner, u, cm = ws.stats(c)
@@ -581,7 +632,7 @@ def _reference_solve(ws, tol, max_iter=500):
     if not (handed and handed[0] is best_c):
         handed.append(best_c)
     if best_res > tol:
-        c = _reference_polish(ws, _reference_sweep(ws, best_c, targets), float(targets.sum()))[0]
+        c = _level_polish(ws, _reference_sweep(ws, best_c, targets), float(targets.sum()))
         res = float(np.abs(ws.stats(c)[3] - targets).max())
         if res < best_res:
             best_res, best_c = res, c
@@ -649,8 +700,8 @@ class TestBitIdentity:
                     _solve_weights_best(ws.atoms, ws.f, ws.p, ws.grid, tol, 40, ws=ws)
                 continue
             got = _solve_weights_best(ws.atoms, ws.f, ws.p, ws.grid, tol, 40, ws=ws)
-            c, res = got
-            assert np.array_equal(c, want[0]) and res == want[1] and got.split is None
+            c, res, split = got
+            assert np.array_equal(c, want[0]) and res == want[1] and split is None
             assert len(handed) == len(want[2]) >= 1  # every solve ends at the crossover
             assert all(np.array_equal(g, w) for g, w in zip(handed, want[2]))
             solved += 1
@@ -784,18 +835,25 @@ class TestBitIdentity:
             _coordinate_sweep(ws, np.zeros(2), targets)
 
     def test_level_polish_matches_full_bisection(self):
+        # one stats call, then Newton on the shift: it balances the total
+        # to rounding and lands where bisection on full stats calls does
         from subcities.semidiscrete import _level_polish
 
         rng = np.random.default_rng(13)
-        stopped = 0
+        worst_balance = worst_gap = 0.0
         for _ in range(60):
             ws = _random_workspace(rng)
             c = rng.uniform(0.0, 0.3, ws.m)
             total = float(rng.uniform(0.5, 1.0))
-            want, pinned, made = _reference_polish(ws, c, total)
-            assert np.array_equal(_level_polish(ws, c, total), want)
-            stopped += pinned < made  # bisected past float adjacency
-        assert stopped > 30
+            want = _reference_polish(ws, c, total)
+            stats, calls = ws.stats, []
+            ws.stats = lambda w: calls.append(w) or stats(w)
+            got = _level_polish(ws, c, total)
+            ws.stats = stats
+            assert len(calls) == 1
+            worst_balance = max(worst_balance, abs(float(stats(got)[3].sum()) - total) / total)
+            worst_gap = max(worst_gap, float(np.abs(got - want).max()))
+        assert worst_balance <= 1e-15 and worst_gap <= 1e-14
 
 
 # seed 1's mu-034 of the benchmark, as the CI's runtime step runs it: 2-D, 32^2 cells
@@ -929,7 +987,7 @@ class TestCrossover:
         got = _solve_weights_best(atoms, quadratic(), 2.0, grid, tol, ws=ws)
         assert len(handed) == 2 and handed[0] < handed[1]  # early, then the end
         assert calls == {"sweep": 0, "jacobian": handed[0]}
-        assert got[1] <= 1e-12 and got.split is not None
+        assert got[1] <= 1e-12 and got[2] is not None
 
 
 class TestExactAtTheFloor:
@@ -1000,14 +1058,28 @@ class TestStructureInvariants:
         strictly_inside = (dist <= radius[None, :] - h).any(axis=1)
         assert (dens.values.ravel()[strictly_inside] > 0).all()
 
-    def test_dual_concavity_no_ascent_failures(self, caplog):
-        atoms = AtomicMeasure([[0.2], [0.5], [0.8]], [0.2, 0.45, 0.35])
-        with caplog.at_level(logging.WARNING, logger="subcities"):
-            try:
-                solve_weights(atoms, quadratic(), 2.0, grid1d(0, 1, 200), tol=1e-8)
-            except NoConvergence:
-                pass
-        assert not [r for r in caplog.records if "ascent direction" in r.getMessage()]
+    def test_newton_system_is_positive_definite(self):
+        # J is a nonnegative diagonal plus one graph-Laplacian term per
+        # boundary pair (symmetric up to the order its terms are summed in),
+        # so the weight solve's shifted system factors and its Newton step
+        # ascends the dual, at tied weights too
+        rng = np.random.default_rng(17)
+        coupled = 0
+        for _ in range(150):
+            ws = _random_workspace(rng)
+            for tied in (False, True):
+                c = rng.uniform(0.0, 0.3, ws.m)
+                if tied:
+                    c[:] = c[0]
+                J = ws.full_jacobian(c)
+                assert np.abs(J - J.T).max() <= 1e-15 * np.abs(J).max()
+                scale = max(float(np.trace(J)) / ws.m, 1e-12)
+                shifted = J + 1e-10 * scale * np.eye(ws.m)
+                np.linalg.cholesky(shifted)
+                r = ws.stats(c)[3] - ws.atoms.masses
+                assert float(-r @ np.linalg.solve(shifted, -r)) > 0.0
+                coupled += bool((J - np.diag(np.diag(J))).any())
+        assert coupled > 100
 
 
 def _best_effort(atoms, f, p, grid):

@@ -277,9 +277,8 @@ class TestOneMassRadiusLaw:
         # both routes share g, so the profile parts are compared: R, E - g,
         # E' - g' = R^p and E'' - g'' (E'' itself crosses 0 near m = 0.4).
         # The closed form is exact to rounding (Beta functions), and so is
-        # the quadrature route's mass; they differ because the quadrature
-        # route's bisection stops at a mass error of 1e-13 (1e-10 of m =
-        # 1e-3), which E - g ~ m^((e+p)/e) carries as up to ~1.5e-10.
+        # the quadrature route's mass, whose Newton inversion stops at a
+        # step of a few ulps of R: the routes agree to rounding.
         g, custom = power_g(0.7, 0.4), _custom_quadratic()
         parts = [
             _radius,
@@ -290,7 +289,7 @@ class TestOneMassRadiusLaw:
         for m in (1e-3, 0.05, 0.4, 1.0):
             for part in parts:
                 want = part(quadratic(), g, p, n, m)
-                assert part(custom, g, p, n, m) == pytest.approx(want, rel=2e-10)
+                assert part(custom, g, p, n, m) == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize(
         "f,g,p,n",
