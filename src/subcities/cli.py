@@ -94,6 +94,15 @@ class RunConfig:
         self.out = raw.get("out", "out")
         self.dump_plans = bool(raw.get("dump_plans", False))
         self.layout = raw.get("layout", "line")
+        for key, ok, rule in (
+            ("k_max", self.k_max >= 1, ">= 1"),
+            ("rounds", self.rounds >= 0, ">= 0"),
+            ("curve_samples", self.curve_samples >= 1, ">= 1"),
+            ("curve_m_min", 0.0 < self.curve_m_min <= 1.0, "in (0, 1]"),
+            ("layout", self.layout in ("line", "grid"), "'line' or 'grid'"),
+        ):
+            if not ok:
+                raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)!r}")
 
     def effective(self) -> dict:
         """The config as actually used, for hashing and the report."""

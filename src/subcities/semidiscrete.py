@@ -3,28 +3,30 @@
 Given atoms with masses, the optimal density is a truncated radial profile
 around each atom pinned by one weight per atom: u(x) = k(max_i(c_i - |x-x_i|^p) v 0).
 Weights are solved so each atom's cell carries exactly its mass, by damped
-Newton on the concave dual with a boundary-coupled Jacobian. The Armijo line
-search halves the step until the test passes, one workspace ``stats`` call
-per step factor; the Jacobian's boundary-layer widths are tabulated once per
-workspace.
+Newton on the concave dual with a boundary-coupled Jacobian, from equal
+weights balanced to the total mass: each atom starts with the cells nearest
+it (its Voronoi cells). The Armijo line search halves the step until the
+test passes, one workspace ``stats`` call per step factor; the Jacobian's
+boundary-layer widths are tabulated once per workspace.
 
 Hard cell assignment on a grid makes the per-atom mass map piecewise smooth
 with jumps of order (boundary density) * (cell volume), and the dual's
 maximiser sits on such a jump: there some cells tie between atoms and must
-be split. An active-set crossover ties those cells exactly, splits them so
-that every atom gets its mass, and so ends at the exact discrete optimum.
-Newton hands over to it once, when its active set first repeats or its
-residual comes within the crossover's reach (the mass of as many of the
-largest cells as the crossover has rounds), and again wherever Newton
-stops; a split that meets the tolerance ends the solve, so its cost does
-not grow as the tolerance tightens.
-There the power cells are an optimal transport plan to the atoms (Kitagawa,
-Merigot & Thibert 2019), so the fixed-atom value reads its transport term
-off them and solves no LP. If the crossover finds no consistent split, the
-solve goes on as without it, and if Newton stops above the tolerance one
-monotone pass (a per-coordinate bisection sweep, then a uniform shift
-balancing the total mass) starts from its best iterate and is kept only if
-it lowers the residual.
+be split. An active-set crossover (Megiddo 1991) ties those cells exactly,
+pivoting about one event per round for at most ``_PIVOTS`` + 4 rounds per
+atom, and splits them so that every atom gets its mass: the exact discrete
+optimum. There the power cells are an optimal transport plan to the atoms
+(Kitagawa, Merigot & Thibert 2019), so the fixed-atom value reads its
+transport term off them and solves no LP. Newton hands over to the
+crossover once, when its active set first repeats or its residual comes
+within the crossover's reach (the mass of ``_PIVOTS`` of the largest
+cells), and again wherever Newton stops; a split that meets the tolerance
+ends the solve, so its cost does not grow as the tolerance tightens. If
+the crossover finds no consistent split, the solve goes on as without it,
+and if Newton stops above the tolerance one monotone pass (a
+per-coordinate bisection sweep, then a uniform shift balancing the total
+mass) starts from its best iterate and is kept only if it lowers the
+residual.
 
 Every smooth one-dimensional solve is one bracketed Newton root-finder
 (``_monotone_root``): the crossover's and the pass's level shifts, and a
@@ -357,16 +359,18 @@ def solve_weights(
 
     Damped Newton ascends the concave dual (gradient: atom masses minus cell
     masses); the Jacobian couples neighboring cells through their shared
-    boundary layer. At the kink where Newton cycles or once it is within
-    the crossover's reach, and again wherever it stops, an active-set
-    crossover splits the exactly tied cells so that every atom gets its mass
+    boundary layer. It starts from equal weights balanced to the total mass
+    and raises GridTooCoarse if an atom's Voronoi cells carry no mass there.
+    At the kink where Newton cycles or once it is within the crossover's
+    reach, and again wherever it stops, an active-set crossover splits the
+    exactly tied cells so that every atom gets its mass
     (``DualWeights.split``): the exact discrete optimum, whatever ``tol``
-    asks, at a cost that does not grow as ``tol`` tightens. If it
-    finds no split and Newton stopped above ``tol``, one pass of
-    per-coordinate bisection plus a uniform shift balancing the total mass
-    (one Newton solve on the winners of one ``stats`` call) runs from
-    Newton's best iterate. Raises NoConvergence with the best residual when
-    the requested tolerance is out of reach.
+    asks, at a cost that does not grow as ``tol`` tightens. If it finds no
+    split and Newton stopped above ``tol``, one pass of per-coordinate
+    bisection plus a uniform shift balancing the total mass (one Newton
+    solve on the winners of one ``stats`` call) runs from Newton's best
+    iterate. Raises NoConvergence with the best residual when the
+    requested tolerance is out of reach.
     """
     return _solve_weights(atoms, f, p, grid, tol, max_iter)[0]
 
@@ -399,42 +403,27 @@ def _solve_weights_best(
 
     ``split`` is the tied-cell split as in ``DualWeights.split``, (cells,
     shares) with each row of shares one cell's fractions per atom, or None
-    when every cell has one owner. Newton hands over to
-    ``_crossover`` from its best iterate once, at the first accepted
-    iterate whose active set (each cell's winner, -1 off the support)
-    repeats one from before the previous iterate, or whose best residual
-    is within the crossover's reach: the mass of ``_PIVOTS`` of the start's
-    largest cells. A split that meets ``tol`` (at a revisit, one that
-    lowers the residual) ends the solve. It hands over again when it stops
-    unless that best iterate was handed over already. If the crossover
-    finds no consistent split, the solve goes on as if it had not run: a
-    Newton that stops above ``tol`` ends in the sweep-and-polish pass.
+    when every cell has one owner. Newton starts from the equal weights
+    whose level balances the total mass (one ``_level`` solve on the
+    nearest atoms' distances), and raises GridTooCoarse if an atom owns no
+    mass there. It hands over to ``_crossover`` from its best iterate
+    once, at the first accepted iterate whose active set (each cell's
+    winner, -1 off the support) repeats one from before the previous
+    iterate, or whose best residual is within the crossover's reach: the
+    mass of ``_PIVOTS`` of the start's largest cells. A split that meets
+    ``tol`` (at a revisit, one that lowers the residual) ends the solve. It
+    hands over again when it stops unless that best iterate was handed
+    over already. If the crossover finds no consistent split, the solve
+    goes on as if it had not run: a Newton that stops above ``tol`` ends
+    in the sweep-and-polish pass.
     """
     if ws is None:
         ws = _Workspace(atoms, f, p, grid)
     targets = atoms.masses
-    c = radius_of_mass(f, p, grid.domain.dim, targets) ** p
+    c = np.full(ws.m, _level(f, ws.vol, -ws.dist_p.min(axis=1), float(targets.sum())))
     s, winner, u, cm = ws.stats(c)
-    # grant every starving atom its cheapest winnable cell; atoms may steal
-    # from each other, so iterate and give up only if that cycles
-    for _ in range(2 * ws.m + 2):
-        lacking = [i for i in range(ws.m) if cm[i] <= 0]
-        if not lacking:
-            break
-        for i in lacking:
-            others = np.delete(np.arange(ws.m), i)
-            if len(others):
-                best_other = (c[None, others] - ws.dist_p[:, others]).max(axis=1)
-            else:
-                best_other = np.zeros(len(ws.dist_p))
-            need = ws.dist_p[:, i] + np.maximum(best_other, 0.0)
-            req = need.min()
-            c[i] = req + 1e-9 * (1.0 + abs(req))
-        s, winner, u, cm = ws.stats(c)
-    else:
-        raise GridTooCoarse(
-            "grid cannot give every atom a supporting cell; refine the grid"
-        )
+    if not (cm > 0).all():
+        raise GridTooCoarse("grid cannot give every atom a supporting cell; refine the grid")
     best_c = c.copy()
     best_res = float(np.abs(cm - targets).max())
     phi = ws.dual_value(c, s, u)
@@ -500,7 +489,7 @@ def _split_masses(ws: _Workspace, winner, u, split) -> np.ndarray:
     return np.bincount(winner[rest], weights=mass[rest], minlength=ws.m) + mass[cells] @ shares
 
 
-_PIVOTS = 8  # crossover rounds, one stats call each
+_PIVOTS = 8  # crossover rounds beyond 4 per atom, one stats call each
 
 
 def _crossover(ws: _Workspace, c0: np.ndarray):
@@ -524,7 +513,7 @@ def _crossover(ws: _Workspace, c0: np.ndarray):
       their boundary by which the flipped cells and the level shift cover
       that want; they are left untied if the shift covers it before that
       cell flips, or if that cell is in the run the last pivot released.
-    Returns None if no round of ``_PIVOTS`` is consistent.
+    Returns None if none of the ``_PIVOTS`` + 4 m rounds is consistent.
     """
     m, d, vol, idx = ws.m, ws.dist_p, ws.vol, ws._idx
     targets = ws.atoms.masses
@@ -534,8 +523,8 @@ def _crossover(ws: _Workspace, c0: np.ndarray):
     comp = np.arange(m)  # component label of each atom
     edges = []  # (a, b, tau): c_a - c_b = tau
     released = np.zeros(len(d), dtype=bool)
-    for _ in range(_PIVOTS):
-        delta = _tree_offsets(c, comp, edges)
+    for _ in range(_PIVOTS + 4 * m):
+        delta, sides = _forest(c, comp, edges)
         rel = delta - d
         # cells off the support carry no mass and follow the global winner;
         # an owner within eps of its component's best keeps the cell, so a
@@ -579,11 +568,10 @@ def _crossover(ws: _Workspace, c0: np.ndarray):
         cell_mass = ws.f.k(score) * vol
         lack = targets - np.bincount(own[free], weights=cell_mass[free], minlength=m)
         run_mass = np.array([cell_mass[r].sum() for r in runs])
-        shares = []  # the mass each run gives its edge's atom a
-        for e, (a, _, _) in enumerate(edges):
-            side = _side(edges, e, a)
-            inside = [k for k, edge in enumerate(edges) if k != e and edge[0] in side]
-            shares.append(float(lack[list(side)].sum() - run_mass[inside].sum()))
+        # the mass each run gives its edge's atom a: what a's side lacks,
+        # less what the side's other runs give it
+        inside = sides[:, [a for a, _, _ in edges]] & ~np.eye(len(edges), dtype=bool)
+        shares = [float(lack[side].sum() - run_mass[ins].sum()) for side, ins in zip(sides, inside)]
         over = [max(t - w, -t) for t, w in zip(shares, run_mass)]
         if not edges or max(over) <= 1e-13:
             return _certify(ws, c, winner, u, own, free, edges, runs, shares, run_mass)
@@ -591,8 +579,7 @@ def _crossover(ws: _Workspace, c0: np.ndarray):
         a, b, tau = edges[e]
         grow_a = shares[e] > run_mass[e]
         label = comp[a]
-        grows = np.isin(np.arange(m), list(_side(edges, e, a))) == grow_a
-        grows &= comp == label
+        grows = (sides[e] == grow_a) & (comp == label)
         del edges[e]
         own[runs[e]] = a if grow_a else b
         # candidates: the shrinking side's free cells, by their margin over
@@ -626,30 +613,33 @@ def _crossover(ws: _Workspace, c0: np.ndarray):
     return None
 
 
-def _tree_offsets(c: np.ndarray, comp: np.ndarray, edges) -> np.ndarray:
-    """Weights meeting every edge's tie, each component's lowest atom kept at c."""
-    delta = np.full(len(c), np.nan)
-    roots = np.unique(comp, return_index=True)[1]
-    delta[roots] = c[roots]
-    for _ in range(len(c)):
-        for a, b, tau in edges:  # c_a - c_b = tau
-            if np.isnan(delta[b]):
-                delta[b] = delta[a] - tau
-            elif np.isnan(delta[a]):
-                delta[a] = delta[b] + tau
-    return delta
+def _forest(c: np.ndarray, comp: np.ndarray, edges):
+    """The tie forest's weights and sides, in one breadth-first pass.
 
-
-def _side(edges, e: int, a: int) -> set:
-    """The atoms joined to ``a`` by the edges other than edge ``e``."""
-    side, grew = {a}, True
-    while grew:
-        grew = False
-        for k, (x, y, _) in enumerate(edges):
-            if k != e and (x in side) != (y in side):
-                side |= {x, y}
-                grew = True
-    return side
+    Returns (delta, sides): weights meeting every edge's tie, each
+    component's lowest atom kept at c, and an (edges, atoms) mask of the
+    atoms joined to each edge's first atom by the other edges.
+    """
+    m = len(c)
+    links = [[] for _ in range(m)]
+    for e, (a, b, tau) in enumerate(edges):  # c_a - c_b = tau
+        links[a].append((e, b, -tau))
+        links[b].append((e, a, tau))
+    order = np.unique(comp, return_index=True)[1].tolist()
+    delta = {root: c[root] for root in order}
+    path = np.eye(m, dtype=bool)  # path[v]: v and its ancestors
+    child = np.empty(len(edges), dtype=np.intp)  # each edge's end away from its root
+    for v in order:  # the queue grows as the pass reaches new atoms
+        for e, w, step in links[v]:
+            if w not in delta:
+                delta[w] = delta[v] + step
+                path[w] |= path[v]
+                child[e] = w
+                order.append(w)
+    below = path[:, child].T  # the atoms under each edge
+    first = np.array([a for a, _, _ in edges], dtype=np.intp)
+    sides = np.where((first == child)[:, None], below, (comp == comp[child][:, None]) & ~below)
+    return np.array([delta[v] for v in range(m)]), sides
 
 
 _ROOT_ULPS = 4.0 * np.finfo(float).eps

@@ -303,6 +303,27 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "mode, override",
+        [
+            ("plan-rn", {"k_max": 0}),
+            ("plan-bounded", {"rounds": -1}),
+            ("energy-curve", {"curve_samples": 0}),
+            ("energy-curve", {"curve_m_min": 0.0}),
+            ("energy-curve", {"curve_m_min": 1.5}),
+            ("plan-rn", {"layout": "circle"}),
+        ],
+        ids=["k-max-zero", "rounds-negative", "curve-samples-zero", "curve-m-min-zero",
+             "curve-m-min-above-one", "layout-unknown"],
+    )
+    def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys, mode, override):
+        atoms = [{"point": [0.3], "mass": 0.5}, {"point": [0.7], "mass": 0.5}]
+        raw = {**BASE, "domain": [[0.0, 1.0]], "grid": 16, "atoms": atoms, **override}
+        out = tmp_path / "run"
+        assert main([mode, "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
     def test_bad_mode_rejected(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
         with pytest.raises(SystemExit):
