@@ -54,14 +54,16 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         try:
             self.p = float(raw.get("p", 2.0))
-            if self.p < 1:
-                raise ConfigError("p must be >= 1")
+            if not 1 <= self.p < math.inf:
+                raise ConfigError(f"p must be a finite number >= 1, got {self.p!r}")
             self.n = int(raw.get("n", 2))
             if self.n not in (1, 2):
                 raise ConfigError("n must be 1 or 2")
             self.seed = int(raw.get("seed", 0))
             self.k_max = int(raw.get("k_max", 6))
             self.tolerances = {**DEFAULT_TOLERANCES, **raw.get("tolerances", {})}
+            if len(self.tolerances) > len(DEFAULT_TOLERANCES):
+                raise ConfigError(f"tolerances keys must be among {sorted(DEFAULT_TOLERANCES)}")
             self.f = _parse_f(raw.get("f", {"kind": "quadratic"}))
             self.g = _parse_g(raw.get("g", {"kind": "power", "b": 1.0, "r": 0.5}))
             self.resolution = raw.get("grid", 64)
@@ -72,13 +74,28 @@ class RunConfig:
             self.domain = Domain.box(bounds) if bounds is not None else None
             atoms = raw.get("atoms")
             self.atoms = _parse_atoms(atoms, self.n) if atoms else None
-            self.validate_spec = raw.get("validate", {})
             if self.mode in ("plan-bounded", "mu-subproblem", "validate") and self.domain is None:
                 raise ConfigError(f"{self.mode} needs a 'domain' bounds list in the config")
             if self.mode in ("plan-bounded", "mu-subproblem") and self.atoms is None:
                 raise ConfigError(f"{self.mode} needs an 'atoms' list in the config")
-            if self.mode == "validate" and not self.validate_spec.get("sites"):
-                raise ConfigError("validate needs a 'validate.sites' list in the config")
+            if self.mode == "validate":
+                spec = raw.get("validate", {})
+                if not spec.get("sites"):
+                    raise ConfigError("validate needs a 'validate.sites' list in the config")
+                # the instance checks the sites' shape and distinctness and the search size
+                self.oracle = BruteForceInstance(
+                    grid=Grid(self.domain, spec.get("grid", 32)),
+                    candidate_sites=np.array(spec["sites"], dtype=float),
+                    f=self.f,
+                    g=self.g,
+                    p=self.p,
+                    mass_units=int(spec.get("mass_units", 20)),
+                )
+                if not self.domain.contains(self.oracle.candidate_sites).all():
+                    raise ConfigError("validate.sites must lie in the domain")
+                self.objective_tol = tol = spec.get("objective_tol", 0.05)
+                if type(tol) not in (int, float) or not tol >= 0:
+                    raise ConfigError(f"validate.objective_tol must be a number >= 0, got {tol!r}")
             self.rounds = int(raw.get("rounds", 12))
             self.curve_samples = int(raw.get("curve_samples", 64))
             self.curve_m_min = float(raw.get("curve_m_min", 1e-3))
@@ -279,17 +296,8 @@ def _run_mu_subproblem(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def _run_validate(cfg: RunConfig, outdir: Path) -> dict:
-    spec = cfg.validate_spec
-    grid = Grid(cfg.domain, spec.get("grid", 32))
-    sites = np.array(spec["sites"], dtype=float)
-    instance = BruteForceInstance(
-        grid=grid,
-        candidate_sites=sites,
-        f=cfg.f,
-        g=cfg.g,
-        p=cfg.p,
-        mass_units=int(spec.get("mass_units", 20)),
-    )
+    instance = cfg.oracle
+    grid, sites = instance.grid, instance.candidate_sites
     mu, nu, value = brute_force_full(instance)
     oracle_solution = PlanSolution(
         mu=mu,
@@ -312,7 +320,7 @@ def _run_validate(cfg: RunConfig, outdir: Path) -> dict:
             if best is None or cand.objective["total"] < best.objective["total"]:
                 best = cand
     report = compare_solutions(
-        best, oracle_solution, objective_tol=spec.get("objective_tol", 0.05)
+        best, oracle_solution, objective_tol=cfg.objective_tol
     )
     return {
         "oracle_value": value,

@@ -58,6 +58,8 @@ class BruteForceInstance:
             raise DimensionMismatch(f"sites of shape {sites.shape} on a {self.grid.domain.dim}-D grid")
         if len(np.unique(sites, axis=0)) != len(sites):
             raise ValueError("candidate sites must be pairwise distinct")
+        if self.mass_units < 1:
+            raise ValueError(f"mass_units must be >= 1, got {self.mass_units}")
         if self.grid.n_cells > _MAX_CELLS:
             raise SearchSpaceTooLarge(f"grid has {self.grid.n_cells} cells > {_MAX_CELLS}")
         if len(sites) > _MAX_SITES:

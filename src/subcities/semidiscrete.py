@@ -7,7 +7,7 @@ Newton on the concave dual with a boundary-coupled Jacobian, from equal
 weights balanced to the total mass: each atom starts with the cells nearest
 it (its Voronoi cells). The Armijo line search halves the step until the
 test passes, one workspace ``stats`` call per step factor; the Jacobian's
-boundary-layer widths are tabulated once per workspace.
+boundary-layer widths come from per-atom cost gradients cached per workspace.
 
 Hard cell assignment on a grid makes the per-atom mass map piecewise smooth
 with jumps of order (boundary density) * (cell volume), and the dual's
@@ -35,7 +35,6 @@ custom family's ball radius R(m).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -233,29 +232,12 @@ class _Workspace:
         return float(c @ self.atoms.masses) - float(conj)
 
     @cached_property
-    def _layer(self) -> tuple[np.ndarray, np.ndarray]:
-        """Boundary-layer width of every cell and atom pair, as (pair, tau).
-
-        ``pair[a, b]`` numbers the pair {a, b} and ``tau[x, pair[a, b]]`` is
-        max(|grad_b - grad_a| * h, 1e-14), grad_i the gradient in x of
-        |x - x_i|^p at cell centre x and h the cell diameter. Each pair's
-        column is built from the two atoms' (n, dim) gradients; no
-        (n, m, m, dim) array is formed.
-        """
-        n, m = self.dist.shape
-        grads = []
-        for i in range(m):
-            d = self.dist[:, i, None]
-            vec = self.centers - self.atoms.points[i]
-            scale = np.where(d > 0, d, 1.0) ** (self.p - 2.0)  # vec is 0 where d is 0
-            grads.append(self.p * scale * vec)
-        pair = np.zeros((m, m), dtype=np.intp)
-        tau = np.empty((n, m * (m - 1) // 2))
-        for k, (a, b) in enumerate(itertools.combinations(range(m), 2)):
-            grad_gap = np.linalg.norm(grads[b] - grads[a], axis=1)
-            tau[:, k] = np.maximum(grad_gap * self.grid.cell_diameter, 1e-14)
-            pair[a, b] = pair[b, a] = k
-        return pair, tau
+    def _grads(self) -> np.ndarray:
+        """Gradient in x of |x - x_i|^p at every cell centre, shaped
+        (cells, atoms, dim); 0 where x is the atom itself."""
+        d = self.dist[:, :, None]
+        vec = self.centers[:, None, :] - self.atoms.points[None, :, :]
+        return self.p * np.where(d > 0, d, 1.0) ** (self.p - 2.0) * vec
 
     def full_jacobian(self, c: np.ndarray) -> np.ndarray:
         """Mass sensitivity: diagonal response plus cell-boundary coupling."""
@@ -275,8 +257,9 @@ class _Workspace:
             gap = s - scores[self._idx, runner]
             ii = np.nonzero(active)[0]
             a, b = winner[ii], runner[ii]
-            pair, widths = self._layer
-            tau = widths[ii, pair[a, b]]
+            # boundary-layer width |grad_b - grad_a| * h, h the cell diameter
+            grad_gap = np.linalg.norm(self._grads[ii, b] - self._grads[ii, a], axis=1)
+            tau = np.maximum(grad_gap * self.grid.cell_diameter, 1e-14)
             on = gap[ii] <= tau
             coupling = self.f.k(s[ii][on]) * self.vol / tau[on]
             aa, bb = a[on], b[on]

@@ -23,6 +23,8 @@ BASE = {
     "seed": 11,
 }
 
+VALIDATE = {"grid": 8, "sites": [[0.3], [0.7]], "mass_units": 4}
+
 
 class TestEnergyCurveMode:
     def test_writes_table_and_report(self, tmp_path):
@@ -312,13 +314,25 @@ class TestConfigHandling:
             ("energy-curve", {"curve_m_min": 0.0}),
             ("energy-curve", {"curve_m_min": 1.5}),
             ("plan-rn", {"layout": "circle"}),
+            ("energy-curve", {"p": math.nan}),
+            ("energy-curve", {"p": math.inf}),
+            ("mu-subproblem", {"tolerances": {"mass_balence": 1e-9}}),
+            ("validate", {"validate": {**VALIDATE, "grid": 0}}),
+            ("validate", {"validate": {**VALIDATE, "mass_units": 0}}),
+            ("validate", {"validate": {**VALIDATE, "mass_units": -2}}),
+            ("validate", {"validate": {**VALIDATE, "sites": [[0.3], [0.3]]}}),
+            ("validate", {"validate": {**VALIDATE, "sites": [[0.3], [1.5]]}}),
+            ("validate", {"validate": {**VALIDATE, "sites": [[0.3, 0.5], [0.7, 0.5]]}}),
+            ("validate", {"validate": {**VALIDATE, "objective_tol": "0.05"}}),
         ],
         ids=["k-max-zero", "rounds-negative", "curve-samples-zero", "curve-m-min-zero",
-             "curve-m-min-above-one", "layout-unknown"],
+             "curve-m-min-above-one", "layout-unknown", "p-nan", "p-inf", "tolerances-unknown-key",
+             "validate-grid-zero", "mass-units-zero", "mass-units-negative", "sites-repeated",
+             "sites-outside-domain", "sites-wrong-dimension", "objective-tol-type"],
     )
     def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys, mode, override):
         atoms = [{"point": [0.3], "mass": 0.5}, {"point": [0.7], "mass": 0.5}]
-        raw = {**BASE, "domain": [[0.0, 1.0]], "grid": 16, "atoms": atoms, **override}
+        raw = {**BASE, "domain": [[0.0, 1.0]], "grid": 16, "atoms": atoms, "validate": VALIDATE, **override}
         out = tmp_path / "run"
         assert main([mode, "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("config error: ")

@@ -316,7 +316,7 @@ class TestSiteDimension:
     @pytest.mark.parametrize(
         "sites", [[[0.3, 0.9], [0.7, 0.1]], [0.3, 0.7]], ids=["2-D sites", "flat list"]
     )
-    def test_cli_reports_solver_error(self, tmp_path, capsys, sites):
+    def test_cli_reports_config_error(self, tmp_path, capsys, sites):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "f": {"kind": "quadratic"},
@@ -327,8 +327,8 @@ class TestSiteDimension:
             "rounds": 1,
             "validate": {"grid": 8, "sites": sites, "mass_units": 4},
         }))
-        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
-        assert "solver error" in capsys.readouterr().err
+        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 def _plan(mu, nu):

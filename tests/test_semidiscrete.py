@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -651,8 +652,9 @@ def _random_workspace(rng):
 
 class TestBitIdentity:
     """The weight solve, its line search, sweep and polish reproduce the
-    plain reference loops here bit for bit, and the tabulated Jacobian layer
-    widths reproduce the term-by-term Jacobian."""
+    plain reference loops here bit for bit, and the Jacobian's layer widths,
+    read from the cached per-atom gradients, reproduce the term-by-term
+    Jacobian."""
 
     def test_solve_matches_sequential_line_search(self, monkeypatch):
         # with a crossover that never finds a split, the solve is the plain
@@ -777,6 +779,8 @@ class TestBitIdentity:
         assert 0 in tried and max(tried) > 10
 
     def test_full_jacobian_matches_add_at(self):
+        from subcities.semidiscrete import _Workspace
+
         rng = np.random.default_rng(12)
         coupled = 0
         for _ in range(150):
@@ -789,6 +793,36 @@ class TestBitIdentity:
                 assert np.array_equal(ws.full_jacobian(c), want)
                 coupled += bool((want - np.diag(np.diag(want))).any())
         assert coupled > 100
+        # many atoms, each ball reaching past its neighbours' bisectors:
+        # equal weights (the Newton start, ties on the Voronoi bisectors),
+        # then random weights with a quarter of them equal
+        for (n, cells, k), p in itertools.product([(2, 24, 20), (2, 24, 40), (1, 256, 25)], [1.0, 1.5, 2.0]):
+            grid = Grid(Domain.box([(0.0, 1.0)] * n), (cells,) * n)
+            ws = _Workspace(_lattice_atoms(0, n, k), quadratic(), p, grid)
+            spacing = 1.0 / math.ceil(k ** (1.0 / n))
+            for c in [np.full(k, spacing**p)] + [rng.uniform(1.0, 1.5, k) * spacing**p for _ in range(3)]:
+                c[rng.choice(k, k // 4, replace=False)] = c[0]
+                want = _reference_jacobian(ws, c)
+                assert np.array_equal(ws.full_jacobian(c), want)
+                assert np.count_nonzero(want - np.diag(np.diag(want))) > k
+
+    def test_full_jacobian_memory_is_linear_in_cells_times_atoms(self):
+        # the widths come from (cells, atoms, dim) gradients: no array with
+        # a column per atom pair is formed (that alone is 58 MB here)
+        import tracemalloc
+
+        from subcities.semidiscrete import _Workspace
+
+        k, grid = 60, Grid(Domain.box([(0.0, 1.0)] * 2), (64, 64))
+        ws = _Workspace(_lattice_atoms(0, 2, k), quadratic(), 2.0, grid)
+        c = np.full(k, 0.02)
+        tracemalloc.start()
+        try:
+            ws.full_jacobian(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * grid.n_cells * k * 8, peak / 2**20
 
     def test_coordinate_sweep_matches_full_stats_bisection(self):
         from subcities.semidiscrete import _coordinate_sweep, _Workspace
