@@ -24,6 +24,9 @@ from .errors import (
 # Probability tolerance for user-supplied measures.
 INPUT_PROB_TOL = 1e-8
 
+# PGM gray levels 0..255 as text.
+_GRAY_LEVELS = tuple(str(level) for level in range(256))
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -143,13 +146,16 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class GridDensity:
-    """An absolutely continuous measure discretized as cell-center values."""
+    """An absolutely continuous measure discretized as cell-center values,
+    each finite and nonnegative."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float).reshape(self.grid.resolution)
+        if not np.isfinite(values).all():
+            raise ValueError("density values must be finite")
         if np.any(values < 0):
             raise NegativeDensity("density values must be nonnegative")
         values = values.copy()
@@ -187,9 +193,9 @@ class GridDensity:
             "bounds," + ",".join(f"{b!r}" for pair in self.domain.bounds for b in pair),
             "resolution," + ",".join(str(r) for r in self.resolution),
         ]
-        flat = self.values.reshape(self.resolution[0], -1)
-        for row in flat.tolist():
-            lines.append(",".join(map(repr, row)))
+        cells = list(map(repr, self.values.ravel().tolist()))
+        width = len(cells) // self.resolution[0]
+        lines += [",".join(cells[i : i + width]) for i in range(0, len(cells), width)]
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod
@@ -213,7 +219,7 @@ class GridDensity:
         scaled = np.zeros_like(img, dtype=int) if peak <= 0 else np.rint(img / peak * 255).astype(int)
         h, w = scaled.shape
         lines = ["P2", f"{w} {h}", "255"]
-        lines += [" ".join(map(str, row)) for row in scaled.tolist()]
+        lines += [" ".join(map(_GRAY_LEVELS.__getitem__, row)) for row in scaled.tolist()]
         Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -291,7 +297,7 @@ class WeightedPointCloud:
 
 
 def make_grid_density(domain: Domain, resolution, cell_values) -> GridDensity:
-    """Build a GridDensity on a bounded box; rejects negative cell values."""
+    """Build a GridDensity on a bounded box; rejects non-finite and negative cell values."""
     if not domain.is_bounded:
         raise UnboundedDomain("grid densities need a bounded domain")
     return GridDensity(Grid(domain, resolution), cell_values)

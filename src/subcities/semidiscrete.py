@@ -6,8 +6,14 @@ Weights are solved so each atom's cell carries exactly its mass, by damped
 Newton on the concave dual with a boundary-coupled Jacobian, from equal
 weights balanced to the total mass: each atom starts with the cells nearest
 it (its Voronoi cells). The Armijo line search halves the step until the
-test passes, one workspace ``stats`` call per step factor; the Jacobian's
-boundary-layer widths come from per-atom cost gradients cached per workspace.
+test passes, one workspace ``stats`` call per step factor; the Jacobian
+computes each active cell's boundary-layer width from the distances to its
+two best atoms.
+
+The workspace stores every per-(atom, cell) array atom-major, (atoms, cells),
+so each pass over the atoms runs along contiguous rows of cells: a cell's
+best score is a maximum over axis 0, and its winner is the first row (the
+lowest atom index) that reaches it, which is ``argmax``'s tie rule.
 
 Hard cell assignment on a grid makes the per-atom mass map piecewise smooth
 with jumps of order (boundary density) * (cell volume), and the dual's
@@ -37,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -196,8 +201,29 @@ class SubcityProfile:
     weight: float  # R(mass)^p
 
 
+def _first_max(scores: np.ndarray, rank: np.ndarray):
+    """Each column's largest entry and the first row reaching it.
+
+    ``scores`` is (rows, columns) and ``rank`` the integer column rows, ...,
+    1 (``_rank``): this is ``scores.argmax(axis=0)`` and its values, ties to
+    the lowest row, as reductions along contiguous rows.
+    """
+    best = scores.max(axis=0)
+    return best, np.subtract(len(rank), ((scores == best) * rank).max(axis=0), dtype=np.intp)
+
+
+def _rank(m: int) -> np.ndarray:
+    """The column m, ..., 1 that ``_first_max`` ranks rows by."""
+    return np.arange(m, 0, -1, dtype=np.min_scalar_type(m))[:, None]
+
+
 class _Workspace:
-    """Shared per-grid arrays for the weight solve and mass accounting."""
+    """Shared per-grid arrays for the weight solve and mass accounting.
+
+    ``dist`` and ``dist_p`` are (atoms, cells): row i holds every cell's
+    distance to atom i, and its p-th power. A cell's winner is its first
+    best atom (the lowest index among ties), as ``_first_max`` takes it.
+    """
 
     def __init__(self, atoms: AtomicMeasure, f: FunctionFamily, p: float, grid: Grid):
         if atoms.dim != grid.domain.dim:
@@ -212,17 +238,20 @@ class _Workspace:
         self.centers = grid.cell_centers()
         self.vol = grid.cell_volume
         self.m = len(atoms)
-        self.dist = np.linalg.norm(
-            self.centers[:, None, :] - atoms.points[None, :, :], axis=2
-        )
+        # sqrt of the squared offsets summed axis by axis, as
+        # np.linalg.norm sums them
+        sq = np.zeros((self.m, len(self.centers)))
+        for axis in range(atoms.dim):
+            offset = self.centers[:, axis] - atoms.points[:, axis, None]
+            sq += offset * offset
+        self.dist = np.sqrt(sq)
         self.dist_p = self.dist**p
         self._idx = np.arange(len(self.centers))
+        self._rank = _rank(self.m)
 
     def stats(self, c: np.ndarray):
         """Winning score, winner, density and winner's cell mass per cell."""
-        scores = c - self.dist_p
-        winner = scores.argmax(axis=1)  # first max: lowest atom index wins ties
-        s = scores[self._idx, winner]
+        s, winner = _first_max(c[:, None] - self.dist_p, self._rank)
         u = self.f.k(s)  # exactly 0 off the support (s <= 0)
         return s, winner, u, np.bincount(winner, weights=u * self.vol, minlength=self.m)
 
@@ -231,20 +260,11 @@ class _Workspace:
         conj = np.where(s > 0, s * u - self.f.f(u), 0.0).sum() * self.vol
         return float(c @ self.atoms.masses) - float(conj)
 
-    @cached_property
-    def _grads(self) -> np.ndarray:
-        """Gradient in x of |x - x_i|^p at every cell centre, shaped
-        (cells, atoms, dim); 0 where x is the atom itself."""
-        d = self.dist[:, :, None]
-        vec = self.centers[:, None, :] - self.atoms.points[None, :, :]
-        return self.p * np.where(d > 0, d, 1.0) ** (self.p - 2.0) * vec
-
     def full_jacobian(self, c: np.ndarray) -> np.ndarray:
         """Mass sensitivity: diagonal response plus cell-boundary coupling."""
         m = self.m
-        scores = c[None, :] - self.dist_p
-        winner = scores.argmax(axis=1)
-        s = scores[self._idx, winner]
+        scores = c[:, None] - self.dist_p
+        s, winner = _first_max(scores, self._rank)
         active = s > 0
         # raveled J entries and their terms; bincount sums each entry's terms
         # in list order: the diagonal response, then the (a, b), (b, a),
@@ -252,14 +272,13 @@ class _Workspace:
         keys = [winner * (m + 1)]
         terms = [self.f.k_prime(s) * self.vol * active]
         if m > 1:
-            scores[self._idx, winner] = -np.inf
-            runner = scores.argmax(axis=1)
-            gap = s - scores[self._idx, runner]
+            scores[winner, self._idx] = -np.inf
+            second, runner = _first_max(scores, self._rank)
+            gap = s - second
             ii = np.nonzero(active)[0]
             a, b = winner[ii], runner[ii]
             # boundary-layer width |grad_b - grad_a| * h, h the cell diameter
-            grad_gap = np.linalg.norm(self._grads[ii, b] - self._grads[ii, a], axis=1)
-            tau = np.maximum(grad_gap * self.grid.cell_diameter, 1e-14)
+            tau = np.maximum(self._grad_gap(ii, a, b) * self.grid.cell_diameter, 1e-14)
             on = gap[ii] <= tau
             coupling = self.f.k(s[ii][on]) * self.vol / tau[on]
             aa, bb = a[on], b[on]
@@ -267,6 +286,21 @@ class _Workspace:
             terms += [-coupling, -coupling, coupling, coupling]
         J = np.bincount(np.concatenate(keys), weights=np.concatenate(terms), minlength=m * m)
         return J.reshape(m, m)
+
+    def _grad_gap(self, cells, a, b) -> np.ndarray:
+        """|grad_b - grad_a| at ``cells``, grad_i = p d^(p-2) (x - x_i) the
+        gradient in x of |x - x_i|^p (d = |x - x_i|, read as 1 where it is 0),
+        its squares summed axis by axis as np.linalg.norm sums them."""
+        p, points = self.p, self.atoms.points
+        da, db = self.dist[a, cells], self.dist[b, cells]
+        fa = p * np.where(da > 0, da, 1.0) ** (p - 2.0)
+        fb = p * np.where(db > 0, db, 1.0) ** (p - 2.0)
+        sq = np.zeros(len(cells))
+        for axis in range(points.shape[1]):
+            x = self.centers[cells, axis]
+            diff = fb * (x - points[b, axis]) - fa * (x - points[a, axis])
+            sq += diff * diff
+        return np.sqrt(sq)
 
 
 def density_from_weights(
@@ -297,14 +331,24 @@ def cell_masses(
 
 def _coordinate_sweep(ws: _Workspace, c: np.ndarray, targets: np.ndarray):
     """Gauss-Seidel pass: bisect each weight to its own mass balance, the
-    others held fixed; each trial's mass is one ``stats`` call's."""
+    others held fixed; each trial's mass is the mass ``stats`` gives atom i.
+
+    With the others fixed, atom i wins a cell where its score beats the
+    best other score there, or ties it ahead of that atom, so a trial
+    reads one row of cells instead of all the atoms.
+    """
     c = c.copy()
     for i in range(ws.m):
+        others = c.copy()
+        others[i] = -np.inf
+        rival, first = _first_max(others[:, None] - ws.dist_p, ws._rank)
+        ahead = first > i
 
         def mass(weight):
-            trial = c.copy()
-            trial[i] = weight
-            return ws.stats(trial)[3][i]
+            s = weight - ws.dist_p[i]
+            wins = (s > rival) | ((s == rival) & ahead)
+            # summed in cell order, as stats' bincount sums atom i's cells
+            return np.bincount(wins, weights=ws.f.k(s) * ws.vol, minlength=2)[1]
 
         lo, hi = 0.0, max(c[i], 1e-6)
         for _ in range(80):
@@ -403,11 +447,12 @@ def _solve_weights_best(
     if ws is None:
         ws = _Workspace(atoms, f, p, grid)
     targets = atoms.masses
-    c = np.full(ws.m, _level(f, ws.vol, -ws.dist_p.min(axis=1), float(targets.sum())))
+    c = np.full(ws.m, _level(f, ws.vol, -ws.dist_p.min(axis=0), float(targets.sum())))
     s, winner, u, cm = ws.stats(c)
     if not (cm > 0).all():
         raise GridTooCoarse("grid cannot give every atom a supporting cell; refine the grid")
-    best_c = c.copy()
+    # the best iterate, and its scores and winners for the crossover's start
+    best_c, best_start = c.copy(), (s, winner)
     best_res = float(np.abs(cm - targets).max())
     phi = ws.dual_value(c, s, u)
     seen = {_active_set(s, winner): 0}  # active set -> last iterate that had it
@@ -428,23 +473,24 @@ def _solve_weights_best(
         phi_prev = phi
         found = _line_search(ws, c, step, phi, slope)
         if found is not None:
-            c, cm, phi, key = found
+            c, cm, phi, s, winner = found
         res = float(np.abs(cm - targets).max())
         if res < best_res:
-            best_res, best_c = res, c.copy()
+            best_res, best_c, best_start = res, c.copy(), (s, winner)
         if found is None or (
             it > 10 and res > tol and phi <= phi_prev + 1e-15 * (1.0 + abs(phi_prev))
         ):
             break
         # Newton cycles about a kink of the dual, or is within the
         # crossover's reach: split the tied cells once
+        key = _active_set(s, winner)
         revisit = seen.get(key, it - 1) < it - 1
         if best_res > tol and crossed_from is None and (revisit or best_res <= reach):
-            crossed_from, crossed = best_c, _crossover(ws, best_c)
+            crossed_from, crossed = best_c, _crossover(ws, best_c, best_start)
             if crossed is not None and (crossed[1] <= tol or revisit and crossed[1] < best_res):
                 return crossed
         seen[key] = it
-    out = crossed if best_c is crossed_from else _crossover(ws, best_c)
+    out = crossed if best_c is crossed_from else _crossover(ws, best_c, best_start)
     if out is not None and out[1] < best_res:
         return out
     if best_res > tol:
@@ -475,8 +521,10 @@ def _split_masses(ws: _Workspace, winner, u, split) -> np.ndarray:
 _PIVOTS = 8  # crossover rounds beyond 4 per atom, one stats call each
 
 
-def _crossover(ws: _Workspace, c0: np.ndarray):
+def _crossover(ws: _Workspace, c0: np.ndarray, start):
     """The dual optimum near ``c0`` with its tied cells split, or None.
+
+    ``start`` is (scores, winners) of ``ws.stats(c0)``.
 
     Atoms are held in components joined by tie edges. An edge (a, b, tau)
     fixes c_a - c_b = tau, so its run ties exactly: every cell where a and
@@ -498,40 +546,43 @@ def _crossover(ws: _Workspace, c0: np.ndarray):
       cell flips, or if that cell is in the run the last pivot released.
     Returns None if none of the ``_PIVOTS`` + 4 m rounds is consistent.
     """
-    m, d, vol, idx = ws.m, ws.dist_p, ws.vol, ws._idx
+    m, d, vol, idx, rank = ws.m, ws.dist_p, ws.vol, ws._idx, ws._rank
     targets = ws.atoms.masses
     eps = 1e-12 * (1.0 + float(d.max()) + float(np.abs(c0).max()))  # tie tolerance
-    s, winner, _, _ = ws.stats(c0)
+    s, winner = start
     own, c = winner, c0.copy()
     comp = np.arange(m)  # component label of each atom
     edges = []  # (a, b, tau): c_a - c_b = tau
-    released = np.zeros(len(d), dtype=bool)
+    released = np.zeros(d.shape[1], dtype=bool)
     for _ in range(_PIVOTS + 4 * m):
         delta, sides = _forest(c, comp, edges)
-        rel = delta - d
+        rel = delta[:, None] - d
         # cells off the support carry no mass and follow the global winner;
         # an owner within eps of its component's best keeps the cell, so a
         # pivot's assignment of a tied cell holds
         own = np.where(s > 0, own, winner)
-        within = np.where(comp[None, :] == comp[own][:, None], rel, -np.inf)
-        best = within.argmax(axis=1)
-        own = np.where(rel[idx, own] >= within[idx, best] - eps, own, best)
+        within = rel  # one component holds every atom
+        if comp.min() < comp.max():
+            within = np.where(comp[:, None] == comp[own], rel, -np.inf)
+        top, best = _first_max(within, rank)
+        own = np.where(rel[own, idx] >= top - eps, own, best)
         held = np.bincount(comp[own], minlength=comp.max() + 1) > 0
         if not held[comp].all():
             label = comp[np.argmin(held[comp])]
-            x = int(np.argmin(s - np.where(comp == label, c - d, -np.inf).max(axis=1)))
-            i = int(np.where(comp == label, c - d[x], -np.inf).argmax())
-            edges.append((i, own[x], d[x, i] - d[x, own[x]]))
+            lead = np.where((comp == label)[:, None], c[:, None] - d, -np.inf).max(axis=0)
+            x = int(np.argmin(s - lead))
+            i = int(np.where(comp == label, c - d[:, x], -np.inf).argmax())
+            edges.append((i, own[x], d[i, x] - d[own[x], x]))
             comp[comp == label] = comp[own[x]]
             continue
-        base = rel[idx, own]
+        base = rel[own, idx]
         levels = np.zeros(m)
         for label in np.unique(comp):
             total = float(targets[comp == label].sum())
             levels[comp == label] = _level(ws.f, vol, base[comp[own] == label], total)
         c = delta + levels
         s, winner, u, _ = ws.stats(c)
-        score = c[own] - d[idx, own]
+        score = c[own] - d[own, idx]
         beaten = np.nonzero((s > 0) & (s - score > eps))[0]
         if len(beaten):
             beaten = beaten[np.argsort(score[beaten] - s[beaten], kind="stable")]
@@ -539,13 +590,13 @@ def _crossover(ws: _Workspace, c0: np.ndarray):
             for x in beaten[np.sort(first)]:
                 i, j = own[x], winner[x]
                 if comp[i] != comp[j]:
-                    edges.append((i, j, d[x, i] - d[x, j]))
+                    edges.append((i, j, d[i, x] - d[j, x]))
                     comp[comp == comp[j]] = comp[i]
             released[:] = False
             continue
         runs, free = [], np.ones(len(own), dtype=bool)
         for a, b, tau in edges:
-            run = free & ((own == a) | (own == b)) & (np.abs(d[:, a] - d[:, b] - tau) <= eps)
+            run = free & ((own == a) | (own == b)) & (np.abs(d[a] - d[b] - tau) <= eps)
             free &= ~run
             runs.append(np.nonzero(run)[0])
         cell_mass = ws.f.k(score) * vol
@@ -567,10 +618,9 @@ def _crossover(ws: _Workspace, c0: np.ndarray):
         own[runs[e]] = a if grow_a else b
         # candidates: the shrinking side's free cells, by their margin over
         # the growing side, but for those on the released run's own line
-        rival = np.where(grows, rel, -np.inf)
-        j = rival.argmax(axis=1)
-        margin = rel[idx, own] - rival[idx, j]
-        same_line = (np.abs(d[:, a] - d[:, b] - tau) <= eps) & (
+        top, j = _first_max(np.where(grows[:, None], rel, -np.inf), rank)
+        margin = rel[own, idx] - top
+        same_line = (np.abs(d[a] - d[b] - tau) <= eps) & (
             ((j == a) & (own == b)) | ((j == b) & (own == a)))
         mine = free & ~same_line & (comp[own] == label) & ~grows[own] & (s > 0)
         order = np.nonzero(mine)[0][np.argsort(margin[mine], kind="stable")]
@@ -590,7 +640,7 @@ def _crossover(ws: _Workspace, c0: np.ndarray):
         if x < 0 or released[x] or want < cover[k] - cell_mass[x]:  # no tie: untie the sides
             comp[(comp == label) & ~grows] = comp.max() + 1
         else:
-            edges.append((j[x], own[x], d[x, j[x]] - d[x, own[x]]))
+            edges.append((j[x], own[x], d[j[x], x] - d[own[x], x]))
         released[:] = False
         released[runs[e]] = True
     return None
@@ -697,8 +747,8 @@ def _line_search(ws: _Workspace, c: np.ndarray, step: np.ndarray, phi: float, sl
     """Armijo backtracking along ``step``: halve the step factor from 1 until
     the test passes, one ``stats`` call per factor, down to 1e-13.
 
-    Returns (weights, cell masses, dual value, active set) of the accepted
-    trial, or None when no factor passes.
+    Returns (weights, cell masses, dual value, scores, winners) of the
+    accepted trial, or None when no factor passes.
     """
     slack = 1e-13 * (1.0 + abs(phi))
     lam = 1.0
@@ -707,7 +757,7 @@ def _line_search(ws: _Workspace, c: np.ndarray, step: np.ndarray, phi: float, sl
         s, winner, u, cm = ws.stats(trial)
         phi2 = ws.dual_value(trial, s, u)
         if phi2 >= phi + 1e-4 * lam * slope - slack:
-            return trial, cm, phi2, _active_set(s, winner)
+            return trial, cm, phi2, s, winner
         lam *= 0.5
     return None
 
@@ -756,7 +806,7 @@ def _evaluate(ws: _Workspace, c: np.ndarray, split=None):
     cells = np.flatnonzero(density.values.ravel() > 0)
     fi, fj = np.nonzero(shares[cells])
     flow = u[cells[fi]] * ws.vol * shares[cells[fi], fj]
-    transport = float(ws.dist_p[cells[fi], fj] @ flow)
+    transport = float(ws.dist_p[fj, cells[fi]] @ flow)
     plan = TransportPlan(
         WeightedPointCloud(ws.centers[cells], u[cells] / u[cells].sum()),
         WeightedPointCloud(ws.atoms.points, ws.atoms.masses / ws.atoms.total_mass),

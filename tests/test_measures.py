@@ -42,6 +42,16 @@ class TestMakeGridDensity:
         with pytest.raises(NegativeDensity):
             make_grid_density(box1d(), 2, [1, -0.1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    def test_rejects_nonfinite(self, bad, at):
+        # a NaN passes the sign check, and a NaN or infinite cell would be
+        # written as nan/inf to the CSV and as garbage gray levels to the PGM
+        values = [0.5, 0.25, 1.0, 0.75]
+        values[at] = bad
+        with pytest.raises(ValueError, match="finite"):
+            make_grid_density(box1d(), 4, values)
+
     def test_scalar_resolution_covers_every_axis(self):
         square = Domain.box([(0, 1), (0, 2)])
         assert Grid(square, 3).resolution == (3, 3)
@@ -179,6 +189,13 @@ class TestSerialization:
         rows = path.read_text().splitlines()[3:]
         assert rows == [",".join(repr(float(v)) for v in row) for row in values]
         assert rows[0] == "0.0,-0.0,5e-324,1e+300"
+
+    def test_csv_1d_has_one_value_per_row(self, tmp_path):
+        values = np.random.default_rng(3).random(7)
+        d = make_grid_density(box1d(), 7, values)
+        path = tmp_path / "density.csv"
+        d.to_csv(path)
+        assert path.read_text().splitlines()[3:] == [repr(float(v)) for v in values]
 
     def test_pgm_scaling(self, tmp_path):
         d = make_grid_density(box1d(), 3, [0.0, 1.0, 2.0])

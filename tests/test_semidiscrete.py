@@ -295,7 +295,7 @@ class TestCellMasses:
 
 def _naive_stats(ws, c, k_of_positive):
     """Cell winner, score, density and cell masses, written out plainly."""
-    scores = c[None, :] - ws.dist_p
+    scores = c[None, :] - ws.dist_p.T
     winner = scores.argmax(axis=1)
     s = scores[np.arange(len(scores)), winner]
     active = s > 0
@@ -396,6 +396,46 @@ class TestWorkspaceStats:
                     assert ws.dual_value(c, s, u) == _conjugate_dual(ws, c, s)
 
 
+class TestFirstMax:
+    def test_matches_argmax_on_the_transpose(self):
+        # the reduction along contiguous (atoms, cells) rows against argmax
+        # on the (cells, atoms) transpose: the best value, its first index,
+        # and the runner-up once the winner is masked, with exact ties
+        # between random atom pairs (some at the column's best) and -inf
+        # entries, whole columns of them too
+        from subcities.semidiscrete import _first_max, _rank
+
+        rng = np.random.default_rng(21)
+        tied = 0
+        for m in [*range(1, 61), 255, 256, 300]:
+            for _ in range(3):
+                cells = int(rng.integers(1, 300))
+                cols = np.arange(cells)
+                scores = rng.normal(size=(m, cells))
+                for _ in range(int(rng.integers(0, 2 * m)) if m > 1 else 0):
+                    a, b = rng.choice(m, 2, replace=False)
+                    x = rng.random(cells) < 0.3
+                    scores[b, x] = scores[a, x]
+                    top = rng.random(cells) < 0.2
+                    scores[a, top] = scores[b, top] = scores[:, top].max(axis=0) + rng.random()
+                scores[rng.random((m, cells)) < 0.05] = -np.inf
+                scores[:, rng.random(cells) < 0.05] = -np.inf
+                rank = _rank(m)
+                best, first = _first_max(scores, rank)
+                want = scores.T.argmax(axis=1)
+                assert first.dtype == np.intp
+                assert np.array_equal(first, want)
+                assert np.array_equal(best, scores.T[cols, want])
+                tied += int(((scores == best) & np.isfinite(best)).sum(axis=0).max() > 1)
+                masked, ref = scores.copy(), scores.T.copy()
+                masked[first, cols] = -np.inf
+                ref[cols, want] = -np.inf
+                second, runner = _first_max(masked, rank)
+                assert np.array_equal(runner, ref.argmax(axis=1))
+                assert np.array_equal(second, ref[cols, runner])
+        assert tied > 150
+
+
 class TestSolveWeights:
     def test_single_atom_closed_form(self):
         atoms = AtomicMeasure([[1.0]], [1.0])
@@ -484,7 +524,7 @@ class TestSolveWeights:
 
 def _reference_jacobian(ws, c):
     """full_jacobian accumulated term by term with np.add.at."""
-    scores = c[None, :] - ws.dist_p
+    scores = c[None, :] - ws.dist_p.T
     idx = np.arange(len(scores))
     winner = scores.argmax(axis=1)
     s = scores[idx, winner]
@@ -501,7 +541,7 @@ def _reference_jacobian(ws, c):
     a, b = winner[ii], runner[ii]
 
     def grad(rows, cols):
-        d = ws.dist[rows, cols][:, None]
+        d = ws.dist.T[rows, cols][:, None]
         vec = ws.centers[rows] - ws.atoms.points[cols]
         return p * np.where(d > 0, d, 1.0) ** (p - 2.0) * vec
 
@@ -653,8 +693,8 @@ def _random_workspace(rng):
 class TestBitIdentity:
     """The weight solve, its line search, sweep and polish reproduce the
     plain reference loops here bit for bit, and the Jacobian's layer widths,
-    read from the cached per-atom gradients, reproduce the term-by-term
-    Jacobian."""
+    computed per active cell from its two best atoms' distances, reproduce
+    the term-by-term Jacobian."""
 
     def test_solve_matches_sequential_line_search(self, monkeypatch):
         # with a crossover that never finds a split, the solve is the plain
@@ -665,7 +705,7 @@ class TestBitIdentity:
         from subcities.semidiscrete import _solve_weights_best, _Workspace
 
         handed = []
-        monkeypatch.setattr(semidiscrete, "_crossover", lambda ws, c0: handed.append(c0.copy()))
+        monkeypatch.setattr(semidiscrete, "_crossover", lambda ws, c0, start: handed.append(c0.copy()))
         rng = np.random.default_rng(11)
         workspaces = [_random_workspace(rng) for _ in range(210)]
         # the two instances pinned in TestSolveWeights
@@ -785,7 +825,7 @@ class TestBitIdentity:
         coupled = 0
         for _ in range(150):
             ws = _random_workspace(rng)
-            for _ in range(3):  # the cached geometry serves every call
+            for _ in range(3):
                 c = rng.uniform(0.0, 0.3, ws.m)
                 if ws.m > 1 and rng.random() < 0.3:
                     c[1] = c[0]
@@ -807,8 +847,8 @@ class TestBitIdentity:
                 assert np.count_nonzero(want - np.diag(np.diag(want))) > k
 
     def test_full_jacobian_memory_is_linear_in_cells_times_atoms(self):
-        # the widths come from (cells, atoms, dim) gradients: no array with
-        # a column per atom pair is formed (that alone is 58 MB here)
+        # the widths are computed per active cell: no array with a column
+        # per atom pair is formed (that alone is 58 MB here)
         import tracemalloc
 
         from subcities.semidiscrete import _Workspace
@@ -963,9 +1003,9 @@ class TestCrossover:
 
         crossover, handed = semidiscrete._crossover, []
 
-        def first_fails(ws, c0):
+        def first_fails(ws, c0, start):
             handed.append(float(np.abs(ws.stats(c0)[3] - ws.atoms.masses).max()))
-            return None if len(handed) == 1 else crossover(ws, c0)
+            return None if len(handed) == 1 else crossover(ws, c0, start)
 
         monkeypatch.setattr(semidiscrete, "_crossover", first_fails)
         nu = AtomicMeasure([[0.25], [0.57], [0.74]], [0.37, 0.37, 0.26])
@@ -1003,7 +1043,7 @@ class TestCrossover:
         ws.full_jacobian = counted_jacobian
         # the Newton iterations before the first hand-over, the crossover stubbed out
         handed = []
-        monkeypatch.setattr(semidiscrete, "_crossover", lambda w, c0: handed.append(calls["jacobian"]))
+        monkeypatch.setattr(semidiscrete, "_crossover", lambda w, c0, start: handed.append(calls["jacobian"]))
         _solve_weights_best(atoms, quadratic(), 2.0, grid, tol, ws=ws)
         monkeypatch.setattr(semidiscrete, "_crossover", crossover)
         monkeypatch.setattr(semidiscrete, "_coordinate_sweep", counted_sweep)
