@@ -18,9 +18,11 @@ lowest atom index) that reaches it, which is ``argmax``'s tie rule.
 Hard cell assignment on a grid makes the per-atom mass map piecewise smooth
 with jumps of order (boundary density) * (cell volume), and the dual's
 maximiser sits on such a jump: there some cells tie between atoms and must
-be split. An active-set crossover (Megiddo 1991) ties those cells exactly,
-pivoting about one event per round for at most ``_PIVOTS`` + 4 rounds per
-atom, and splits them so that every atom gets its mass: the exact discrete
+be split. A crossover (Megiddo 1991) shares the tied cells by one max-flow
+from the atoms' masses into them, a cell among every atom tied on it; where
+no flow meets every mass, the flow's min cut names a set of atoms whose
+weights shift together, by an exact line search, until the set balances
+or one more cell ties. The split it ends with is the exact discrete
 optimum. There the power cells are an optimal transport plan to the atoms
 (Kitagawa, Merigot & Thibert 2019), so the fixed-atom value reads its
 transport term off them and solves no LP. Newton hands over to the
@@ -28,15 +30,15 @@ crossover once, when its active set first repeats or its residual comes
 within the crossover's reach (the mass of ``_PIVOTS`` of the largest
 cells), and again wherever Newton stops; a split that meets the tolerance
 ends the solve, so its cost does not grow as the tolerance tightens. If
-the crossover finds no consistent split, the solve goes on as without it,
-and if Newton stops above the tolerance one monotone pass (a
-per-coordinate bisection sweep, then a uniform shift balancing the total
-mass) starts from its best iterate and is kept only if it lowers the
-residual.
+the crossover finds no split within ``_PIVOTS`` + 4 rounds per atom, the
+solve goes on as without it, and if Newton stops above the tolerance one
+monotone pass (a per-coordinate bisection sweep, then a uniform shift
+balancing the total mass) starts from its best iterate and is kept only if
+it lowers the residual.
 
 Every smooth one-dimensional solve is one bracketed Newton root-finder
-(``_monotone_root``): the crossover's and the pass's level shifts, and a
-custom family's ball radius R(m).
+(``_monotone_root``): the crossover's balancing shift of a set of atoms,
+the pass's level shift, and a custom family's ball radius R(m).
 """
 
 from __future__ import annotations
@@ -223,6 +225,8 @@ class _Workspace:
     ``dist`` and ``dist_p`` are (atoms, cells): row i holds every cell's
     distance to atom i, and its p-th power. A cell's winner is its first
     best atom (the lowest index among ties), as ``_first_max`` takes it.
+    ``last`` holds the weights of the latest ``stats`` call and its result,
+    so a value read right after a solve reuses the solve's final scores.
     """
 
     def __init__(self, atoms: AtomicMeasure, f: FunctionFamily, p: float, grid: Grid):
@@ -248,12 +252,15 @@ class _Workspace:
         self.dist_p = self.dist**p
         self._idx = np.arange(len(self.centers))
         self._rank = _rank(self.m)
+        self.last = (None, None)
 
     def stats(self, c: np.ndarray):
         """Winning score, winner, density and winner's cell mass per cell."""
         s, winner = _first_max(c[:, None] - self.dist_p, self._rank)
         u = self.f.k(s)  # exactly 0 off the support (s <= 0)
-        return s, winner, u, np.bincount(winner, weights=u * self.vol, minlength=self.m)
+        out = s, winner, u, np.bincount(winner, weights=u * self.vol, minlength=self.m)
+        self.last = (c.copy(), out)
+        return out
 
     def dual_value(self, c: np.ndarray, s: np.ndarray, u: np.ndarray) -> float:
         """c . masses - vol * sum f*(max(s, 0)), f* read off the density u = k(s)."""
@@ -389,15 +396,15 @@ def solve_weights(
     boundary layer. It starts from equal weights balanced to the total mass
     and raises GridTooCoarse if an atom's Voronoi cells carry no mass there.
     At the kink where Newton cycles or once it is within the crossover's
-    reach, and again wherever it stops, an active-set crossover splits the
-    exactly tied cells so that every atom gets its mass
-    (``DualWeights.split``): the exact discrete optimum, whatever ``tol``
-    asks, at a cost that does not grow as ``tol`` tightens. If it finds no
-    split and Newton stopped above ``tol``, one pass of per-coordinate
-    bisection plus a uniform shift balancing the total mass (one Newton
-    solve on the winners of one ``stats`` call) runs from Newton's best
-    iterate. Raises NoConvergence with the best residual when the
-    requested tolerance is out of reach.
+    reach, and again wherever it stops, a crossover shares the exactly
+    tied cells, each among all the atoms tied on it, so that every atom
+    gets its mass (``DualWeights.split``): the exact discrete optimum,
+    whatever ``tol`` asks, at a cost that does not grow as ``tol``
+    tightens. If it finds no split and Newton stopped above ``tol``, one
+    pass of per-coordinate bisection plus a uniform shift balancing the
+    total mass (one Newton solve on the winners of one ``stats`` call) runs
+    from Newton's best iterate. Raises NoConvergence with the best residual
+    when the requested tolerance is out of reach.
     """
     return _solve_weights(atoms, f, p, grid, tol, max_iter)[0]
 
@@ -440,9 +447,9 @@ def _solve_weights_best(
     mass of ``_PIVOTS`` of the start's largest cells. A split that meets
     ``tol`` (at a revisit, one that lowers the residual) ends the solve. It
     hands over again when it stops unless that best iterate was handed
-    over already. If the crossover finds no consistent split, the solve
-    goes on as if it had not run: a Newton that stops above ``tol`` ends
-    in the sweep-and-polish pass.
+    over already. If the crossover finds no split within its rounds, the
+    solve goes on as if it had not run: a Newton that stops above ``tol``
+    ends in the sweep-and-polish pass.
     """
     if ws is None:
         ws = _Workspace(atoms, f, p, grid)
@@ -456,7 +463,7 @@ def _solve_weights_best(
     best_res = float(np.abs(cm - targets).max())
     phi = ws.dual_value(c, s, u)
     seen = {_active_set(s, winner): 0}  # active set -> last iterate that had it
-    # the crossover pivots about one cell per round
+    # a crossover round moves about one cell
     reach = _PIVOTS * ws.vol * float(u.max())
     crossed_from = crossed = None
     it = 0
@@ -518,161 +525,169 @@ def _split_masses(ws: _Workspace, winner, u, split) -> np.ndarray:
     return np.bincount(winner[rest], weights=mass[rest], minlength=ws.m) + mass[cells] @ shares
 
 
-_PIVOTS = 8  # crossover rounds beyond 4 per atom, one stats call each
+_PIVOTS = 8  # the hand-over reach in cells, and crossover rounds beyond 4 per atom
 
 
 def _crossover(ws: _Workspace, c0: np.ndarray, start):
     """The dual optimum near ``c0`` with its tied cells split, or None.
 
-    ``start`` is (scores, winners) of ``ws.stats(c0)``.
-
-    Atoms are held in components joined by tie edges. An edge (a, b, tau)
-    fixes c_a - c_b = tau, so its run ties exactly: every cell where a and
-    b lead their component and d_a - d_b = tau (a whole run of cells for
-    p = 1, or where the atoms line up with the grid). Each cell belongs to
-    one component and goes to its best atom there, and one level per
-    component balances the component's mass (``_level``). Each run is then
-    shared so that every atom gets its mass: across an edge flows what the
-    atoms on its side still lack. A round, one ``stats`` call, pivots until
-    that split is consistent:
-    - a component that owns no cell ties to the cell it loses by least;
-    - cells that an atom of another component now beats tie the two
-      components, at the cell beaten by most (the first to flip as the
-      levels moved apart);
-    - the edge whose share leaves [0, 1] by most gives its run to the side
-      that wants more, and the sides tie again at the first cell across
-      their boundary by which the flipped cells and the level shift cover
-      that want; they are left untied if the shift covers it before that
-      cell flips, or if that cell is in the run the last pivot released.
-    Returns None if none of the ``_PIVOTS`` + 4 m rounds is consistent.
+    ``start`` is (scores, winners) of ``ws.stats(c0)``. A round, one
+    ``stats`` call, ties each support cell to the atoms within the tie
+    tolerance of its best score and sends the atoms' masses into their
+    cells by one max-flow (``_share``), the cells tied to the same atoms
+    pooled. A flow that fills every mass and every cell is the split: a
+    cell's row is its pool's flow over the pool's mass. Otherwise the set
+    of atoms its min cut names shifts alone (``_shift``) until it balances
+    or one more cell ties. Returns None after ``_PIVOTS`` + 4 m rounds.
     """
-    m, d, vol, idx, rank = ws.m, ws.dist_p, ws.vol, ws._idx, ws._rank
-    targets = ws.atoms.masses
-    eps = 1e-12 * (1.0 + float(d.max()) + float(np.abs(c0).max()))  # tie tolerance
-    s, winner = start
-    own, c = winner, c0.copy()
-    comp = np.arange(m)  # component label of each atom
-    edges = []  # (a, b, tau): c_a - c_b = tau
-    released = np.zeros(d.shape[1], dtype=bool)
+    m, vol, targets = ws.m, ws.vol, ws.atoms.masses
+    eps = 1e-12 * (1.0 + float(ws.dist_p.max()) + float(np.abs(c0).max()))  # tie tolerance
+    c, (s, winner) = c0, start
+    u = ws.f.k(s)
     for _ in range(_PIVOTS + 4 * m):
-        delta, sides = _forest(c, comp, edges)
-        rel = delta[:, None] - d
-        # cells off the support carry no mass and follow the global winner;
-        # an owner within eps of its component's best keeps the cell, so a
-        # pivot's assignment of a tied cell holds
-        own = np.where(s > 0, own, winner)
-        within = rel  # one component holds every atom
-        if comp.min() < comp.max():
-            within = np.where(comp[:, None] == comp[own], rel, -np.inf)
-        top, best = _first_max(within, rank)
-        own = np.where(rel[own, idx] >= top - eps, own, best)
-        held = np.bincount(comp[own], minlength=comp.max() + 1) > 0
-        if not held[comp].all():
-            label = comp[np.argmin(held[comp])]
-            lead = np.where((comp == label)[:, None], c[:, None] - d, -np.inf).max(axis=0)
-            x = int(np.argmin(s - lead))
-            i = int(np.where(comp == label, c - d[:, x], -np.inf).argmax())
-            edges.append((i, own[x], d[i, x] - d[own[x], x]))
-            comp[comp == label] = comp[own[x]]
+        mass = u * vol
+        tied = (c[:, None] - ws.dist_p >= s - eps) & (mass > 0)
+        cells = np.flatnonzero(np.count_nonzero(tied, axis=0) > 1)
+        pools = {}  # each tied cell's atom set -> its pool
+        keys = [col.tobytes() for col in tied[:, cells].T]
+        group = np.array([pools.setdefault(key, len(pools)) for key in keys], dtype=int)
+        sets = np.frombuffer(b"".join(pools), dtype=bool).reshape(len(pools), m)
+        owner = winner.copy()  # a cell held alone goes to its winner's own group
+        owner[cells] = m + group
+        room = np.bincount(owner, weights=mass, minlength=m + len(sets))
+        flow, violation, atoms = _share(targets, sets, room)
+        if violation > 1e-14:  # below, what the flow leaves unmet is rounding
+            moving = np.bincount(atoms, minlength=m) > 0
+            c = c + moving * _shift(ws, c, s, winner, moving, float(targets[moving].sum()))
+            s, winner, u, _ = ws.stats(c)
             continue
-        base = rel[own, idx]
-        levels = np.zeros(m)
-        for label in np.unique(comp):
-            total = float(targets[comp == label].sum())
-            levels[comp == label] = _level(ws.f, vol, base[comp[own] == label], total)
-        c = delta + levels
-        s, winner, u, _ = ws.stats(c)
-        score = c[own] - d[own, idx]
-        beaten = np.nonzero((s > 0) & (s - score > eps))[0]
-        if len(beaten):
-            beaten = beaten[np.argsort(score[beaten] - s[beaten], kind="stable")]
-            _, first = np.unique(own[beaten] * m + winner[beaten], return_index=True)
-            for x in beaten[np.sort(first)]:
-                i, j = own[x], winner[x]
-                if comp[i] != comp[j]:
-                    edges.append((i, j, d[i, x] - d[j, x]))
-                    comp[comp == comp[j]] = comp[i]
-            released[:] = False
-            continue
-        runs, free = [], np.ones(len(own), dtype=bool)
-        for a, b, tau in edges:
-            run = free & ((own == a) | (own == b)) & (np.abs(d[a] - d[b] - tau) <= eps)
-            free &= ~run
-            runs.append(np.nonzero(run)[0])
-        cell_mass = ws.f.k(score) * vol
-        lack = targets - np.bincount(own[free], weights=cell_mass[free], minlength=m)
-        run_mass = np.array([cell_mass[r].sum() for r in runs])
-        # the mass each run gives its edge's atom a: what a's side lacks,
-        # less what the side's other runs give it
-        inside = sides[:, [a for a, _, _ in edges]] & ~np.eye(len(edges), dtype=bool)
-        shares = [float(lack[side].sum() - run_mass[ins].sum()) for side, ins in zip(sides, inside)]
-        over = [max(t - w, -t) for t, w in zip(shares, run_mass)]
-        if not edges or max(over) <= 1e-13:
-            return _certify(ws, c, winner, u, own, free, edges, runs, shares, run_mass)
-        e = int(np.argmax(over))
-        a, b, tau = edges[e]
-        grow_a = shares[e] > run_mass[e]
-        label = comp[a]
-        grows = (sides[e] == grow_a) & (comp == label)
-        del edges[e]
-        own[runs[e]] = a if grow_a else b
-        # candidates: the shrinking side's free cells, by their margin over
-        # the growing side, but for those on the released run's own line
-        top, j = _first_max(np.where(grows[:, None], rel, -np.inf), rank)
-        margin = rel[own, idx] - top
-        same_line = (np.abs(d[a] - d[b] - tau) <= eps) & (
-            ((j == a) & (own == b)) | ((j == b) & (own == a)))
-        mine = free & ~same_line & (comp[own] == label) & ~grows[own] & (s > 0)
-        order = np.nonzero(mine)[0][np.argsort(margin[mine], kind="stable")]
-        # the level shift a margin t needs moves t * k'_grow k'_shrink /
-        # (k'_grow + k'_shrink) of mass, each side as stiff as its cells
-        want = shares[e] - run_mass[e] if grow_a else -shares[e]
-        stiff = ws.f.k_prime(score) * vol
-        k_grow = float(stiff[free & grows[own]].sum())
-        k_shrink = float(stiff[free & ~grows[own] & (comp[own] == label)].sum())
-        slope = k_grow * k_shrink / (k_grow + k_shrink) if k_grow + k_shrink > 0 else 0.0
-        cover = np.cumsum(cell_mass[order]) + slope * margin[order]
-        k = min(int(np.searchsorted(cover, want)), len(order) - 1)
-        x = order[k] if len(order) else -1
-        if x >= 0:
-            flips = mine & (margin < margin[x] - eps)
-            own[flips] = j[flips]
-        if x < 0 or released[x] or want < cover[k] - cell_mass[x]:  # no tie: untie the sides
-            comp[(comp == label) & ~grows] = comp.max() + 1
-        else:
-            edges.append((j[x], own[x], d[j[x], x] - d[own[x], x]))
-        released[:] = False
-        released[runs[e]] = True
+        rows = np.array([[f.get(i, 0.0) for i in range(m)] for f in flow[m:]]).reshape(-1, m)
+        unused = np.maximum(room[m:] - rows.sum(axis=1), 0.0)  # goes to the pool's first atom
+        rows[np.arange(len(sets)), sets.argmax(axis=1)] += unused
+        split = (cells, rows[group] / room[m:][group, None]) if len(cells) else None
+        residual = float(np.abs(_split_masses(ws, winner, u, split) - targets).max())
+        return c, residual, split
     return None
 
 
-def _forest(c: np.ndarray, comp: np.ndarray, edges):
-    """The tie forest's weights and sides, in one breadth-first pass.
+_FLOW_TINY = 1e-15  # a flow or a residual capacity below this is empty
 
-    Returns (delta, sides): weights meeting every edge's tie, each
-    component's lowest atom kept at c, and an (edges, atoms) mask of the
-    atoms joined to each edge's first atom by the other edges.
+
+def _share(targets: np.ndarray, sets: np.ndarray, room: np.ndarray):
+    """Max-flow from the atoms' targets into their cells by shortest
+    augmenting paths, and the most violated set of atoms its min cut names.
+
+    Group i < m is atom i's own cells, filled first, and group m + g the
+    cells pooled on the atoms that row g of ``sets`` marks; group g takes at
+    most ``room[g]``. Returns (flow, violation, atoms): flow[g] maps each
+    atom of group g to the mass it sends there, and ``atoms`` lack mass that
+    no group tied to them has left, or hold room that no other atom can
+    take, by ``violation`` in all.
     """
-    m = len(c)
-    links = [[] for _ in range(m)]
-    for e, (a, b, tau) in enumerate(edges):  # c_a - c_b = tau
-        links[a].append((e, b, -tau))
-        links[b].append((e, a, tau))
-    order = np.unique(comp, return_index=True)[1].tolist()
-    delta = {root: c[root] for root in order}
-    path = np.eye(m, dtype=bool)  # path[v]: v and its ancestors
-    child = np.empty(len(edges), dtype=np.intp)  # each edge's end away from its root
-    for v in order:  # the queue grows as the pass reaches new atoms
-        for e, w, step in links[v]:
-            if w not in delta:
-                delta[w] = delta[v] + step
-                path[w] |= path[v]
-                child[e] = w
-                order.append(w)
-    below = path[:, child].T  # the atoms under each edge
-    first = np.array([a for a, _, _ in edges], dtype=np.intp)
-    sides = np.where((first == child)[:, None], below, (comp == comp[child][:, None]) & ~below)
-    return np.array([delta[v] for v in range(m)]), sides
+    m = len(targets)
+    groups = [[i] for i in range(m)] + [np.flatnonzero(row).tolist() for row in sets]
+    ties = [[i, *(m + np.flatnonzero(col)).tolist()] for i, col in enumerate(sets.T)]
+    own = np.minimum(targets, room[:m])  # each atom fills its own cells first
+    need, left = (targets - own).tolist(), np.concatenate([room[:m] - own, room[m:]]).tolist()
+    flow = [{i: x} for i, x in enumerate(own.tolist())] + [dict.fromkeys(a, 0.0) for a in groups[m:]]
+
+    def search(roots):
+        # breadth first from ``roots``: atom -> any group tied to it -> an
+        # atom that sends mass there, up to a group with room left
+        came, reached = dict.fromkeys(roots), {}
+        order = list(came)
+        for i in order:
+            for g in ties[i]:
+                if g not in reached:
+                    reached[g] = i
+                    if left[g] > _FLOW_TINY:
+                        return came, reached, g
+                    for j, sent in flow[g].items():
+                        if sent > _FLOW_TINY and j not in came:
+                            came[j] = g
+                            order.append(j)
+        return came, reached, None
+
+    while True:
+        came, reached, end = search(i for i in range(m) if need[i] > _FLOW_TINY)
+        if end is None:
+            break
+        path = [(end, reached[end])]  # (group, atom sending to it) back to the source
+        while came[path[-1][1]] is not None:
+            g = came[path[-1][1]]
+            path.append((g, reached[g]))
+        amount = min([left[end], need[path[-1][1]]] + [flow[came[i]][i] for _, i in path[:-1]])
+        left[end] -= amount
+        need[path[-1][1]] -= amount
+        for g, i in path:
+            flow[g][i] += amount
+            if came[i] is not None:
+                flow[came[i]][i] -= amount
+    # the cut's sides, the atoms that lack mass and all they reach and those
+    # that reach unused room, fall apart into sets joined by the groups they
+    # reach; the set that lacks or holds the most mass moves
+    spare, surplus = [g for g, rest in enumerate(left) if rest > _FLOW_TINY], set()
+    for g in spare:
+        for i in set(groups[g]) - surplus:
+            surplus.add(i)
+            spare += [h for h in ties[i] if flow[h][i] > _FLOW_TINY and h not in spare]
+    worst, moving = 0.0, []
+    for side, linked, lacking in ((set(came), reached, True), (surplus, spare, False)):
+        part = {i: {i} for i in side}
+        for g in linked:
+            joined = set().union(*(part[i] for i in groups[g] if i in side))
+            part.update(dict.fromkeys(joined, joined))
+        for atoms in {id(atoms): atoms for atoms in part.values()}.values():
+            violation = (sum(need[i] for i in atoms) if lacking
+                         else sum(left[g] for g in linked if groups[g][0] in atoms))
+            if violation > worst:
+                worst, moving = violation, sorted(atoms)
+    return flow, worst, moving
+
+
+def _shift(ws: _Workspace, c, s, winner, moving, target: float) -> float:
+    """The common shift of the ``moving`` atoms' weights, the others fixed,
+    at which their mass is ``target``; ``s``, ``winner`` are ``ws.stats(c)``'s.
+
+    The mass grows continuously with the shift, and jumps by a cell's mass
+    where the set takes the cell from an atom scoring above 0. An
+    exponential search, then bisection, over those sorted take-over shifts
+    ends between two of them (one ``_level`` solve), or on one where the
+    mass jumps across ``target``, so that cell ties exactly.
+    """
+    d, held = ws.dist_p, moving[winner]
+    inner, outer = s.copy(), s.copy()  # each cell's best score in and out of the set
+    cols, rows = np.flatnonzero(~held), np.flatnonzero(moving)
+    inner[cols] = (c[rows, None] - d[rows[:, None], cols]).max(axis=0)
+    cols, rows = np.flatnonzero(held), np.flatnonzero(~moving)
+    outer[cols] = (c[rows, None] - d[rows[:, None], cols]).max(axis=0, initial=-np.inf)
+    jumps = outer > 0
+    at = outer[jumps] - inner[jumps]  # the shift at which the set takes each cell
+    order = np.argsort(at, kind="stable")
+    at, kept = at[order], int(np.count_nonzero(~jumps))
+    # the set's scores: the cells no other atom scores above 0 on, then the
+    # others by take-over shift
+    scores = np.concatenate([inner[~jumps], inner[jumps][order]])
+
+    def short(j):  # on its cells and the first j jumps, the set lacks mass at the next jump
+        return j < len(at) and float(ws.f.k(scores[: kept + j] + at[j]).sum()) * ws.vol < target
+
+    # the first j that is not short, by exponential search from the cells
+    # the set holds now, then bisection
+    lo = hi = int(np.searchsorted(at, 0.0, side="right"))
+    step = 1
+    while short(hi):
+        lo, hi, step = hi, min(hi + step, len(at)), 2 * step
+    if lo == hi:
+        lo = hi - 1
+        while lo >= 0 and not short(lo):
+            hi, lo, step = lo, max(lo - step, -1), 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if not short(mid) else (mid, hi)
+    t = _level(ws.f, ws.vol, scores[: kept + hi], target)
+    # at or below the last jump taken, the mass jumps across the target there
+    return max(t, float(at[hi - 1])) if hi else t
 
 
 _ROOT_ULPS = 4.0 * np.finfo(float).eps
@@ -723,26 +738,6 @@ def _level(f: FunctionFamily, vol: float, base: np.ndarray, target: float) -> fl
     return _monotone_root(gap, 0.0, -np.inf, float(np.abs(base).max()), -float(base.max()))
 
 
-def _certify(ws: _Workspace, c, winner, u, own, free, edges, runs, shares, run_mass):
-    """(c, residual, split) of a consistent crossover round.
-
-    Each run is shared as its edge's flow says; a cell outside the runs
-    that ``stats`` gives another atom by a margin below the tie tolerance
-    keeps its crossover owner through a one-hot row.
-    """
-    rows = []
-    for (a, b, _), run, t, w in zip(edges, runs, shares, run_mass):
-        row = np.zeros((len(run), ws.m))
-        row[:, a] = min(max(t / w, 0.0), 1.0) if w > 0 else 0.5
-        row[:, b] = 1.0 - row[:, a]
-        rows.append(row)
-    moved = np.nonzero(free & (winner != own))[0]
-    cells = np.concatenate(runs + [moved])
-    split = (cells, np.concatenate(rows + [np.eye(ws.m)[own[moved]]])) if len(cells) else None
-    residual = float(np.abs(_split_masses(ws, winner, u, split) - ws.atoms.masses).max())
-    return c, residual, split
-
-
 def _line_search(ws: _Workspace, c: np.ndarray, step: np.ndarray, phi: float, slope: float):
     """Armijo backtracking along ``step``: halve the step factor from 1 until
     the test passes, one ``stats`` call per factor, down to 1e-13.
@@ -791,13 +786,16 @@ def _min_Fp_nu(nu, f, p, grid, tol, max_iter):
 def _evaluate(ws: _Workspace, c: np.ndarray, split=None):
     """The fixed-atom value of weights ``c``: (density, breakdown, plan).
 
-    One ``stats`` call gives the density, the dual's scores and the power
-    cells. The plan sends each support cell's mass to its winner (a cell of
-    ``split`` by its row of shares) and carries the potentials psi = -s and
-    psi^c = c, tight on every flow, so it is optimal to its column sums: the
-    atom masses at a split optimum. The transport term is its cost.
+    ``stats`` at ``c`` gives the density, the dual's scores and the power
+    cells; they are read off ``ws.last`` when the workspace's latest call
+    was at ``c``, as after a solve that ends on its final round. The plan
+    sends each support cell's mass to its winner (a cell of ``split`` by
+    its row of shares) and carries the potentials psi = -s and psi^c = c,
+    tight on every flow, so it is optimal to its column sums: the atom
+    masses at a split optimum. The transport term is its cost.
     """
-    s, winner, u, _ = ws.stats(c)
+    last_c, last = ws.last
+    s, winner, u, _ = last if np.array_equal(last_c, c) else ws.stats(c)
     cm = _split_masses(ws, winner, u, split)
     density = _density(ws, s, u)
     shares = np.eye(ws.m)[winner]

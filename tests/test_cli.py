@@ -172,7 +172,7 @@ class TestMuSubproblemMode:
         cost = np.linalg.norm(cloud.points[i] - points[j], axis=1) ** p
         assert objective["transport"] == pytest.approx(float(mass @ cost), rel=1e-12)
 
-    def test_nonconvergent_exit_code(self, tmp_path):
+    def test_nonconvergent_exit_code(self, tmp_path, monkeypatch):
         # asymmetric atoms on a coarse grid: winner-takes-all cells cannot
         # reach the default mass-balance tolerance, the split tied cell can
         def run(name, p, atoms):
@@ -187,13 +187,21 @@ class TestMuSubproblemMode:
         ])
         assert status == 0 and report["result"]["objective"]["mass_residual"] <= 1e-12
         # p = 1: the optimum ties all three atoms on the run left of them,
-        # which the crossover cannot share; the run must exit 2 with an
-        # error report
-        status, report = run("three-way", 1.0, [
+        # which the crossover shares among the three
+        three_way = [
             {"point": [0.2], "mass": 0.045},
             {"point": [0.235], "mass": 0.075},
             {"point": [0.47], "mass": 0.88},
-        ])
+        ]
+        status, report = run("three-way", 1.0, three_way)
+        assert status == 0 and report["result"]["objective"]["mass_residual"] <= 1e-12
+        # a weight solve that stops above tol exits 2 with an error report
+        from subcities import semidiscrete
+
+        solve = semidiscrete._solve_weights_best
+        monkeypatch.setattr(semidiscrete, "_solve_weights_best",
+                            lambda *args, **kwargs: (solve(*args, **kwargs)[0], 1e-3, None))
+        status, report = run("stopped", 1.0, three_way)
         assert status == 2
         assert report["error"]["type"] == "NoConvergence"
 
