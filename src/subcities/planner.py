@@ -238,8 +238,9 @@ def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
 
 
 def _position_candidates(ws, weights_c, p: float) -> np.ndarray:
-    """Barycenter (p=2, default) or per-coordinate median (p=1) of each cell."""
-    s, winner, u, cm = ws.stats(weights_c)
+    """Barycenter (p=2, default) or per-coordinate median (p=1) of each cell;
+    the cells are read off ``ws.last`` when the evaluation left them there."""
+    s, winner, u, cm = ws.stats_at(weights_c)
     active = s > 0
     pts = ws.atoms.points.copy()
     for i in range(ws.m):

@@ -5,10 +5,13 @@ around each atom pinned by one weight per atom: u(x) = k(max_i(c_i - |x-x_i|^p) 
 Weights are solved so each atom's cell carries exactly its mass, by damped
 Newton on the concave dual with a boundary-coupled Jacobian, from equal
 weights balanced to the total mass: each atom starts with the cells nearest
-it (its Voronoi cells). The Armijo line search halves the step until the
-test passes, one workspace ``stats`` call per step factor; the Jacobian
-computes each active cell's boundary-layer width from the distances to its
-two best atoms.
+it (its Voronoi cells). The Jacobian is the derivative of the cell masses:
+a cell within one boundary-layer width tau of its runner-up couples its two
+best atoms, tau computed from their distances to the cell, and since the
+cells on both sides of a boundary count, each adds its mass over 2 tau. The
+Armijo line search tries the step factors 1, 1/2, ..., 1/16, one workspace
+``stats`` call per factor; a step that fails them all has met a kink of the
+dual, and Newton stops there.
 
 The workspace stores every per-(atom, cell) array atom-major, (atoms, cells),
 so each pass over the atoms runs along contiguous rows of cells: a cell's
@@ -262,13 +265,25 @@ class _Workspace:
         self.last = (c.copy(), out)
         return out
 
+    def stats_at(self, c: np.ndarray):
+        """``stats(c)``, read off ``last`` when the latest call was at ``c``."""
+        last_c, last = self.last
+        return last if np.array_equal(last_c, c) else self.stats(c)
+
     def dual_value(self, c: np.ndarray, s: np.ndarray, u: np.ndarray) -> float:
         """c . masses - vol * sum f*(max(s, 0)), f* read off the density u = k(s)."""
         conj = np.where(s > 0, s * u - self.f.f(u), 0.0).sum() * self.vol
         return float(c @ self.atoms.masses) - float(conj)
 
     def full_jacobian(self, c: np.ndarray) -> np.ndarray:
-        """Mass sensitivity: diagonal response plus cell-boundary coupling."""
+        """Mass sensitivity: diagonal response plus cell-boundary coupling.
+
+        Raising c_b by t moves the a-b boundary into a's cells by t / |grad_b
+        - grad_a|. An active cell whose best-minus-runner-up gap is within
+        tau = |grad_b - grad_a| h (h the cell diameter, tau >= 1e-14) lies
+        in that boundary's band, 2 tau wide as the cells on both sides count,
+        so it couples its winner and runner-up by k(s) vol / (2 tau).
+        """
         m = self.m
         scores = c[:, None] - self.dist_p
         s, winner = _first_max(scores, self._rank)
@@ -287,7 +302,7 @@ class _Workspace:
             # boundary-layer width |grad_b - grad_a| * h, h the cell diameter
             tau = np.maximum(self._grad_gap(ii, a, b) * self.grid.cell_diameter, 1e-14)
             on = gap[ii] <= tau
-            coupling = self.f.k(s[ii][on]) * self.vol / tau[on]
+            coupling = self.f.k(s[ii][on]) * self.vol / (2.0 * tau[on])
             aa, bb = a[on], b[on]
             keys += [aa * m + bb, bb * m + aa, aa * (m + 1), bb * (m + 1)]
             terms += [-coupling, -coupling, coupling, coupling]
@@ -392,9 +407,12 @@ def solve_weights(
     """Solve the per-atom weights so cell masses match atom masses.
 
     Damped Newton ascends the concave dual (gradient: atom masses minus cell
-    masses); the Jacobian couples neighboring cells through their shared
-    boundary layer. It starts from equal weights balanced to the total mass
-    and raises GridTooCoarse if an atom's Voronoi cells carry no mass there.
+    masses); the Jacobian, the derivative of the cell masses, couples
+    neighboring cells through the band of cells along their shared boundary,
+    counted from both sides. Its line search tries the step factors 1, 1/2,
+    ..., 1/16; a step that fails them all ends Newton. It starts from equal
+    weights balanced to the total mass and raises GridTooCoarse if an atom's
+    Voronoi cells carry no mass there.
     At the kink where Newton cycles or once it is within the crossover's
     reach, and again wherever it stops, a crossover shares the exactly
     tied cells, each among all the atoms tied on it, so that every atom
@@ -739,21 +757,21 @@ def _level(f: FunctionFamily, vol: float, base: np.ndarray, target: float) -> fl
 
 
 def _line_search(ws: _Workspace, c: np.ndarray, step: np.ndarray, phi: float, slope: float):
-    """Armijo backtracking along ``step``: halve the step factor from 1 until
-    the test passes, one ``stats`` call per factor, down to 1e-13.
+    """Armijo backtracking along ``step``: the step factors 1, 1/2, ..., 1/16
+    in turn until the test passes, one ``stats`` call per factor.
 
     Returns (weights, cell masses, dual value, scores, winners) of the
-    accepted trial, or None when no factor passes.
+    accepted trial, or None when no factor passes: a step that fails at
+    1/16 has run into a kink of the dual, where the crossover takes over.
     """
     slack = 1e-13 * (1.0 + abs(phi))
-    lam = 1.0
-    while lam > 1e-13:
+    for k in range(5):
+        lam = 0.5**k
         trial = c + lam * step
         s, winner, u, cm = ws.stats(trial)
         phi2 = ws.dual_value(trial, s, u)
         if phi2 >= phi + 1e-4 * lam * slope - slack:
             return trial, cm, phi2, s, winner
-        lam *= 0.5
     return None
 
 
@@ -789,21 +807,28 @@ def _evaluate(ws: _Workspace, c: np.ndarray, split=None):
     ``stats`` at ``c`` gives the density, the dual's scores and the power
     cells; they are read off ``ws.last`` when the workspace's latest call
     was at ``c``, as after a solve that ends on its final round. The plan
-    sends each support cell's mass to its winner (a cell of ``split`` by
-    its row of shares) and carries the potentials psi = -s and psi^c = c,
-    tight on every flow, so it is optimal to its column sums: the atom
-    masses at a split optimum. The transport term is its cost.
+    sends each support cell's mass to its winner (a cell of ``split`` to
+    the atoms its row of shares gives a nonzero share), one flow per cell
+    and atom in cell order, and carries the potentials psi = -s and
+    psi^c = c, tight on every flow, so it is optimal to its column sums:
+    the atom masses at a split optimum. The transport term is its cost.
     """
-    last_c, last = ws.last
-    s, winner, u, _ = last if np.array_equal(last_c, c) else ws.stats(c)
+    s, winner, u, _ = ws.stats_at(c)
     cm = _split_masses(ws, winner, u, split)
     density = _density(ws, s, u)
-    shares = np.eye(ws.m)[winner]
-    if split is not None:
-        shares[split[0]] = split[1]
     cells = np.flatnonzero(density.values.ravel() > 0)
-    fi, fj = np.nonzero(shares[cells])
-    flow = u[cells[fi]] * ws.vol * shares[cells[fi], fj]
+    fi, fj, share = np.arange(len(cells)), winner[cells], np.ones(len(cells))
+    if split is not None:
+        # a split cell carries mass, so it is a support cell: its entries
+        # replace its winner's, and a stable sort keeps each row's atom order
+        rows, atoms = np.nonzero(split[1])
+        alone = ~np.isin(cells, split[0])
+        fi = np.concatenate([fi[alone], np.searchsorted(cells, split[0][rows])])
+        order = np.argsort(fi, kind="stable")
+        fi = fi[order]
+        fj = np.concatenate([fj[alone], atoms])[order]
+        share = np.concatenate([share[alone], split[1][rows, atoms]])[order]
+    flow = u[cells[fi]] * ws.vol * share
     transport = float(ws.dist_p[fj, cells[fi]] @ flow)
     plan = TransportPlan(
         WeightedPointCloud(ws.centers[cells], u[cells] / u[cells].sum()),

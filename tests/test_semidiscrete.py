@@ -520,7 +520,9 @@ class TestSolveWeights:
 
 
 def _reference_jacobian(ws, c):
-    """full_jacobian accumulated term by term with np.add.at."""
+    """full_jacobian accumulated term by term with np.add.at: each active
+    cell within tau of its runner-up couples the two atoms by k(s) vol / 2 tau,
+    the band of a boundary counted once from each side."""
     scores = c[None, :] - ws.dist_p.T
     idx = np.arange(len(scores))
     winner = scores.argmax(axis=1)
@@ -545,7 +547,7 @@ def _reference_jacobian(ws, c):
     grad_gap = np.linalg.norm(grad(ii, b) - grad(ii, a), axis=1)
     tau = np.maximum(grad_gap * ws.grid.cell_diameter, 1e-14)
     on = gap[ii] <= tau
-    coupling = ws.f.k(s[ii][on]) * ws.vol / tau[on]
+    coupling = ws.f.k(s[ii][on]) * ws.vol / (2.0 * tau[on])
     aa, bb = a[on], b[on]
     np.add.at(J, (aa, bb), -coupling)
     np.add.at(J, (bb, aa), -coupling)
@@ -604,8 +606,8 @@ def _reference_sweep(ws, c, targets):
 
 
 def _reference_solve(ws, tol, max_iter=500):
-    """The weight solve with a one-trial-at-a-time halving line search and
-    no crossover; also returns the iterates it would hand to the crossover:
+    """The weight solve with a one-trial-at-a-time halving line search
+    (factors 2^0 ... 2^-4) and no crossover; also returns the iterates it would hand to the crossover:
     the best one at the first accepted iterate whose active set repeats one
     from before the previous iterate or whose best residual is within the
     crossover's reach (the mass of _PIVOTS of the start's largest cells),
@@ -638,7 +640,7 @@ def _reference_solve(ws, tol, max_iter=500):
         if slope <= 0:
             step, slope = -r, float(r @ r)
         lam, accepted, phi_prev = 1.0, False, phi
-        while lam > 1e-13:
+        while lam >= 1.0 / 16.0:
             c_try = c + lam * step
             s2, w2, _, cm2 = ws.stats(c_try)
             phi2 = _conjugate_dual(ws, c_try, s2)
@@ -745,7 +747,7 @@ class TestBitIdentity:
 
         def halving(ws, c, step, phi, slope):
             lam = 1.0
-            while lam > 1e-13:
+            while lam >= 1.0 / 16.0:
                 c_try = c + lam * step
                 s2, _, _, cm2 = ws.stats(c_try)
                 phi2 = _conjugate_dual(ws, c_try, s2)
@@ -765,25 +767,28 @@ class TestBitIdentity:
         ]
         for atoms, p, grid in cases:
             ws = _Workspace(atoms, quadratic(), p, grid)
-            taken = set()
-            for t in range(17):
+            taken, failed = set(), 0
+            for t in range(25):
                 c = rng.uniform(0.02, 0.2, ws.m)
                 s, _, _, cm = ws.stats(c)
                 phi = _conjugate_dual(ws, c, s)
-                if t < 16:
-                    step = (atoms.masses - cm) * 10.0 ** rng.uniform(-2.0, 9.0)
+                if t < 24:
+                    step = (atoms.masses - cm) * 10.0 ** rng.uniform(-1.0, 2.5)
                     slope = float((atoms.masses - cm) @ step)
                 else:  # a descent direction claimed steep: no factor passes
                     step, slope = cm - atoms.masses, 1e6
                 want, lam = halving(ws, c, step, phi, slope)
                 got = _line_search(ws, c, step, phi, slope)
-                assert (got is None) == (want is None) == (t == 16)
-                if want is not None:
+                assert (got is None) == (want is None)
+                if want is None:
+                    failed += 1
+                else:
                     taken.add(lam)
                     for g, w in zip(got, want):
                         assert np.array_equal(g, w)
-            # the full step, and long backtracks
-            assert 1.0 in taken and min(taken) < 0.5**21 and len(taken) > 6
+            # the full step, every backtrack down to 1/16, and steps too
+            # long for all of them
+            assert taken == {1.0, 0.5, 0.25, 0.125, 0.0625} and failed > 1
 
     def test_line_search_evaluates_only_the_factors_it_tries(self):
         # one weight vector per stats call: the full step alone when it
@@ -795,8 +800,8 @@ class TestBitIdentity:
         stats, vectors = ws.stats, []
         ws.stats = lambda w: vectors.append(len(np.atleast_2d(w))) or stats(w)
         rng = np.random.default_rng(15)
-        tried = set()
-        for scale in (1e-2, 1e-1, 1.0, 1e2, 1e4, 1e6, 1e8, None):
+        tried, failed = set(), 0
+        for scale in (1e-2, 1e-1, 1.0, 10.0, 25.0, 60.0, 1e2, 1e4, None):
             c = rng.uniform(0.02, 0.2, ws.m)
             s, _, u, cm = stats(c)
             if scale is None:  # a descent direction claimed steep: no factor passes
@@ -808,12 +813,13 @@ class TestBitIdentity:
             found = _line_search(ws, c, step, ws.dual_value(c, s, u), slope)
             assert set(vectors) == {1}
             if found is None:
-                assert scale is None and len(vectors) == 44  # 2^0 ... 2^-43
+                assert len(vectors) == 5  # 2^0 ... 2^-4
+                failed += 1
                 continue
             k = len(vectors) - 1  # the accepted factor is the last one tried
             assert np.array_equal(found[0], c + 0.5**k * step)
             tried.add(k)
-        assert 0 in tried and max(tried) > 10
+        assert 0 in tried and max(tried) == 4 and failed >= 2
 
     def test_full_jacobian_matches_add_at(self):
         from subcities.semidiscrete import _Workspace
@@ -985,6 +991,33 @@ class TestCrossover:
             assert not (rows.T > 0)[~tied].any()
             shared += 1
         assert solved >= 290 and shared > 50
+
+    def test_plan_matches_the_dense_share_matrix(self):
+        # one flow per support cell and atom it sends mass to, in the
+        # row-major order of the (cells, atoms) share matrix's nonzeros
+        from subcities.semidiscrete import _evaluate, _solve_weights_best
+
+        rng = np.random.default_rng(0)
+        shared = 0
+        for _ in range(120):
+            ws = _random_workspace(rng)
+            try:
+                c, _, split = _solve_weights_best(ws.atoms, ws.f, ws.p, ws.grid, 1e-12, ws=ws)
+            except GridTooCoarse:
+                continue
+            _, breakdown, plan = _evaluate(ws, c, split)
+            s, winner, u, _ = ws.stats(c)
+            shares = np.eye(ws.m)[winner]
+            if split is not None:
+                shares[split[0]] = split[1]
+                shared += 1
+            cells = np.flatnonzero(np.where(s > 0, u, 0.0) > 0)
+            fi, fj = np.nonzero(shares[cells])
+            flow = u[cells[fi]] * ws.vol * shares[cells[fi], fj]
+            assert np.array_equal(plan.flow_i, fi) and np.array_equal(plan.flow_j, fj)
+            assert np.array_equal(plan.flow_mass, flow)
+            assert breakdown["transport"] == float(ws.dist_p[fj, cells[fi]] @ flow)
+        assert shared > 20
 
     @pytest.mark.parametrize(
         "points, masses, p, cells",
@@ -1188,6 +1221,37 @@ class TestManyAtoms:
                 atoms = _lattice_atoms(seed, n, k)
                 _, res, split = _solve_weights_best(atoms, quadratic(), p, grid, 1e-12)
                 assert res <= 1e-12 and split is not None, (k, seed, res)
+
+
+class TestJacobianIsTheMassDerivative:
+    """Newton's Jacobian is the derivative of the cell masses: each boundary's
+    band of cells within tau of their runner-up is counted once from each
+    side. Counting it from both sides doubled every coupling (J/FD off the
+    diagonal near 2, and ||J - FD|| / ||FD|| 0.66-1.07 on these instances)."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_matches_central_differences(self, p):
+        from subcities.semidiscrete import _level, _Workspace
+
+        checked = 0
+        for n, cells, k in [(2, 64, 10), (2, 64, 20), (2, 64, 30), (1, 512, 10), (1, 512, 25)]:
+            grid = Grid(Domain.box([(0.0, 1.0)] * n), (cells,) * n)
+            spacing = 1.0 / (k if n == 1 else math.ceil(math.sqrt(k)))
+            # two cells' score width midway between neighbouring atoms
+            delta = 2.0 * 2.0 * p * (spacing / 2.0) ** (p - 1.0) * grid.cell_diameter
+            for seed in (0, 1):
+                ws = _Workspace(_lattice_atoms(seed, n, k), quadratic(), p, grid)
+                # the Newton start: equal weights, each atom on its Voronoi cells
+                c = np.full(k, _level(ws.f, ws.vol, -ws.dist_p.min(axis=0), 1.0))
+                fd = np.empty((k, k))
+                for j in range(k):
+                    e = np.zeros(k)
+                    e[j] = delta
+                    fd[:, j] = (ws.stats(c + e)[3] - ws.stats(c - e)[3]) / (2.0 * delta)
+                J = ws.full_jacobian(c)
+                assert np.linalg.norm(J - fd) <= 0.2 * np.linalg.norm(fd), (n, cells, k, seed)
+                checked += 1
+        assert checked == 10
 
 
 class TestExactAtTheFloor:
