@@ -38,7 +38,8 @@ class NoConvergence(SubcitiesError):
 
 
 class GridTooCoarse(SubcitiesError):
-    """The grid cannot support at least one cell per atom."""
+    """No weight gives an atom its mass on the grid (the weight solve's
+    bisection fallback)."""
 
 
 class AtomOutsideDomain(SubcitiesError):
