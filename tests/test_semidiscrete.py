@@ -1101,6 +1101,71 @@ class TestCrossover:
                 # one atom starts balanced; more take a Newton step first
                 assert (calls["jacobian"] > 0) == (len(atoms) > 1)
 
+    def test_failed_early_hand_over(self, monkeypatch):
+        # a crossover that finds no split leaves the solve to the
+        # sweep-and-polish pass from Newton's best iterate; Newton hands
+        # over once, within reach but above tol, and the pass still ends
+        # the solve at the tolerance
+        from subcities import semidiscrete
+
+        sweep, handed, swept = semidiscrete._coordinate_sweep, [], []
+
+        def fails(ws, c0, start):
+            handed.append(float(np.abs(ws.stats(c0)[3] - ws.atoms.masses).max()))
+            return None
+
+        def counted_sweep(*args):
+            swept.append(1)
+            return sweep(*args)
+
+        monkeypatch.setattr(semidiscrete, "_crossover", fails)
+        monkeypatch.setattr(semidiscrete, "_coordinate_sweep", counted_sweep)
+        nu = AtomicMeasure([[0.25], [0.57], [0.74]], [0.37, 0.37, 0.26])
+        weights = solve_weights(nu, quadratic(), 1.0, grid1d(0, 1, 32), tol=1e-12)
+        assert len(handed) == 1 and handed[0] > 1e-12 and len(swept) == 1
+        assert weights.residual <= 1e-12 and weights.split is None
+
+    def test_hands_over_at_the_first_revisit(self, monkeypatch):
+        # Newton alone ends this instance above tol, in the sweep-and-polish
+        # pass; the solve hands over at its first (and only) hand-over,
+        # once its best residual is within the crossover's reach, and the
+        # crossover ends it
+        from subcities import semidiscrete
+        from subcities.semidiscrete import _solve_weights_best, _Workspace
+
+        atoms = AtomicMeasure([[0.378, 0.6887], [0.401, 0.3089], [0.7229, 0.5182]],
+                              [0.2448, 0.3273, 0.4279])
+        grid = Grid(Domain.box([(0, 1), (0, 1)]), (16, 16))
+        tol = 1e-12
+        ws = _Workspace(atoms, quadratic(), 2.0, grid)
+        handed_c = _reference_solve(ws, tol)[2]
+        assert float(np.abs(ws.stats(handed_c)[3] - atoms.masses).max()) > tol  # Newton stops above tol
+        calls = {"sweep": 0, "jacobian": 0}
+        sweep, jacobian, crossover = (
+            semidiscrete._coordinate_sweep, ws.full_jacobian, semidiscrete._crossover)
+
+        def counted_sweep(*args):
+            calls["sweep"] += 1
+            return sweep(*args)
+
+        def counted_jacobian(c):
+            calls["jacobian"] += 1
+            return jacobian(c)
+
+        ws.full_jacobian = counted_jacobian
+        # the Newton iterations before the hand-over, the crossover stubbed out
+        handed = []
+        monkeypatch.setattr(semidiscrete, "_crossover", lambda w, c0, start: handed.append(calls["jacobian"]))
+        monkeypatch.setattr(semidiscrete, "_coordinate_sweep", lambda w, c, t: c)
+        _solve_weights_best(atoms, quadratic(), 2.0, grid, tol, ws=ws)
+        monkeypatch.setattr(semidiscrete, "_crossover", crossover)
+        monkeypatch.setattr(semidiscrete, "_coordinate_sweep", counted_sweep)
+        calls["jacobian"] = 0
+        got = _solve_weights_best(atoms, quadratic(), 2.0, grid, tol, ws=ws)
+        assert len(handed) == 1 and handed[0] > 0
+        assert calls == {"sweep": 0, "jacobian": handed[0]}
+        assert got[1] <= 1e-12 and got[2] is not None
+
 
 class TestShareAndShift:
     """The crossover's two steps: the max-flow of the atoms' masses into
