@@ -27,7 +27,6 @@ from .errors import (
     SearchSpaceTooLarge,
     SubcitiesError,
     UnbalancedMasses,
-    UnboundedDomain,
     ZeroMass,
 )
 from .measures import (

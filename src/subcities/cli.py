@@ -34,10 +34,7 @@ from .subcity import EnergyCurve, check_atomization_condition, subadditivity_thr
 
 MODES = ("plan-rn", "plan-bounded", "mu-subproblem", "energy-curve", "validate")
 
-DEFAULT_TOLERANCES = {
-    "mass_balance": 1e-7,
-    "newton_max_iter": 500,
-}
+DEFAULT_TOLERANCES = {"mass_balance": 1e-7}
 
 _GRID_CELL_GUARD = 2_000_000
 
@@ -105,9 +102,9 @@ class RunConfig:
             raise ConfigError(f"grid must give {self.n} positive cell counts, got {self.resolution!r}")
         if math.prod(axes) > _GRID_CELL_GUARD:
             raise ConfigError(f"grid of {math.prod(axes)} cells exceeds the guard limit")
-        tol, max_iter = self.tolerances["mass_balance"], self.tolerances["newton_max_iter"]
-        if type(tol) not in (int, float) or not tol > 0 or type(max_iter) is not int or max_iter < 1:
-            raise ConfigError(f"tolerances: mass_balance {tol!r} or newton_max_iter {max_iter!r} invalid")
+        tol = self.tolerances["mass_balance"]
+        if type(tol) not in (int, float) or not tol > 0:
+            raise ConfigError(f"tolerances: mass_balance {tol!r} invalid")
         self.out = raw.get("out", "out")
         self.dump_plans = bool(raw.get("dump_plans", False))
         self.layout = raw.get("layout", "line")
@@ -260,7 +257,6 @@ def _run_plan_bounded(cfg: RunConfig, outdir: Path) -> dict:
         rounds=cfg.rounds,
         resolution=cfg.resolution,
         tol=cfg.tolerances["mass_balance"],
-        max_iter=cfg.tolerances["newton_max_iter"],
     )
     artifacts: list = []
     _write_density(solution.mu, outdir, artifacts)
@@ -278,14 +274,7 @@ def _run_plan_bounded(cfg: RunConfig, outdir: Path) -> dict:
 
 def _run_mu_subproblem(cfg: RunConfig, outdir: Path) -> dict:
     grid = Grid(cfg.domain, cfg.resolution)
-    density, breakdown, plan = _min_Fp_nu(
-        cfg.atoms,
-        cfg.f,
-        cfg.p,
-        grid,
-        cfg.tolerances["mass_balance"],
-        cfg.tolerances["newton_max_iter"],
-    )
+    density, breakdown, plan = _min_Fp_nu(cfg.atoms, cfg.f, cfg.p, grid, cfg.tolerances["mass_balance"])
     artifacts: list = []
     _write_density(density, outdir, artifacts)
     if cfg.dump_plans:
@@ -315,7 +304,7 @@ def _run_validate(cfg: RunConfig, outdir: Path) -> dict:
             cand = solve_bounded(
                 cfg.domain, cfg.f, cfg.g, cfg.p, init,
                 rounds=cfg.rounds, resolution=grid.resolution,
-                tol=cfg.tolerances["mass_balance"], max_iter=cfg.tolerances["newton_max_iter"],
+                tol=cfg.tolerances["mass_balance"],
             )
             if best is None or cand.objective["total"] < best.objective["total"]:
                 best = cand

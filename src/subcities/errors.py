@@ -9,10 +9,6 @@ class NegativeDensity(SubcitiesError):
     """A grid density was given a negative cell value."""
 
 
-class UnboundedDomain(SubcitiesError):
-    """An operation requiring a bounded domain received an unbounded one."""
-
-
 class ZeroMass(SubcitiesError):
     """A measure with zero total mass cannot be normalized."""
 

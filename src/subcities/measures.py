@@ -17,7 +17,6 @@ from .errors import (
     NegativeDensity,
     NonpositiveMass,
     NotProbability,
-    UnboundedDomain,
     ZeroMass,
 )
 
@@ -30,64 +29,39 @@ _GRAY_LEVELS = tuple(str(level) for level in range(256))
 
 @dataclass(frozen=True)
 class Domain:
-    """A box subset of R^n, or all of R^n when ``bounds`` is None."""
+    """A box subset of R^n: one (lo, hi) interval per axis."""
 
-    dim: int
-    bounds: tuple[tuple[float, float], ...] | None = None
+    bounds: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.bounds is not None:
-            if len(self.bounds) != self.dim:
-                raise ValueError("bounds must give one interval per axis")
-            for lo, hi in self.bounds:
-                if not lo < hi:
-                    raise ValueError(f"empty interval [{lo}, {hi}]")
+        if not self.bounds:
+            raise ValueError("a domain needs at least one axis")
+        for lo, hi in self.bounds:
+            if not lo < hi:
+                raise ValueError(f"empty interval [{lo}, {hi}]")
 
     @classmethod
     def box(cls, bounds) -> "Domain":
-        bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-        return cls(dim=len(bounds), bounds=bounds)
-
-    @classmethod
-    def unbounded(cls, dim: int) -> "Domain":
-        return cls(dim=dim, bounds=None)
+        return cls(tuple((float(lo), float(hi)) for lo, hi in bounds))
 
     @property
-    def is_bounded(self) -> bool:
-        return self.bounds is not None
+    def dim(self) -> int:
+        return len(self.bounds)
 
     @property
     def widths(self) -> np.ndarray:
-        self._require_bounded()
         return np.array([hi - lo for lo, hi in self.bounds])
 
     @property
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.widths))
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.widths))
-
-    @property
     def lower(self) -> np.ndarray:
-        self._require_bounded()
         return np.array([lo for lo, _ in self.bounds])
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask of points inside the closed box (all True if unbounded)."""
+        """Boolean mask of points inside the closed box."""
         points = np.atleast_2d(points)
-        if self.bounds is None:
-            return np.ones(len(points), dtype=bool)
         lo = self.lower
         hi = lo + self.widths
         return np.all((points >= lo) & (points <= hi), axis=1)
-
-    def _require_bounded(self):
-        if self.bounds is None:
-            raise UnboundedDomain("operation requires a bounded domain")
 
 
 def per_axis(resolution, dim: int) -> tuple[int, ...]:
@@ -97,7 +71,7 @@ def per_axis(resolution, dim: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Grid:
-    """A regular cell-centered grid over a bounded box domain.
+    """A regular cell-centered grid over a box domain.
 
     ``resolution`` is one cell count per axis, or one int for every axis.
     """
@@ -106,7 +80,6 @@ class Grid:
     resolution: tuple[int, ...]
 
     def __post_init__(self):
-        self.domain._require_bounded()
         res = per_axis(self.resolution, self.domain.dim)
         object.__setattr__(self, "resolution", res)
         if len(res) != self.domain.dim:
@@ -178,8 +151,8 @@ class GridDensity:
     def total_mass(self) -> float:
         return float(self.values.sum() * self.cell_volume)
 
-    def is_probability(self, tol: float = INPUT_PROB_TOL) -> bool:
-        return abs(self.total_mass - 1.0) <= tol
+    def is_probability(self) -> bool:
+        return abs(self.total_mass - 1.0) <= INPUT_PROB_TOL
 
     def with_values(self, values) -> "GridDensity":
         return GridDensity(self.grid, values)
@@ -259,8 +232,8 @@ class AtomicMeasure:
     def total_mass(self) -> float:
         return float(self.masses.sum())
 
-    def is_probability(self, tol: float = INPUT_PROB_TOL) -> bool:
-        return abs(self.total_mass - 1.0) <= tol
+    def is_probability(self) -> bool:
+        return abs(self.total_mass - 1.0) <= INPUT_PROB_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,9 +270,7 @@ class WeightedPointCloud:
 
 
 def make_grid_density(domain: Domain, resolution, cell_values) -> GridDensity:
-    """Build a GridDensity on a bounded box; rejects non-finite and negative cell values."""
-    if not domain.is_bounded:
-        raise UnboundedDomain("grid densities need a bounded domain")
+    """Build a GridDensity on a box; rejects non-finite and negative cell values."""
     return GridDensity(Grid(domain, resolution), cell_values)
 
 
@@ -311,12 +282,10 @@ def normalize(density: GridDensity) -> GridDensity:
     return density.with_values(density.values / total)
 
 
-def to_point_cloud(density: GridDensity, tol: float = INPUT_PROB_TOL) -> WeightedPointCloud:
+def to_point_cloud(density: GridDensity) -> WeightedPointCloud:
     """One weighted point per positive-mass cell, placed at the cell center."""
-    if not density.is_probability(tol):
-        raise NotProbability(
-            f"total mass {density.total_mass} is not 1 within {tol}"
-        )
+    if not density.is_probability():
+        raise NotProbability(f"total mass {density.total_mass} is not 1 within {INPUT_PROB_TOL}")
     centers = density.grid.cell_centers()
     flat = density.values.ravel()
     keep = flat > 0

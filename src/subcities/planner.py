@@ -265,7 +265,6 @@ def solve_bounded(
     rounds: int = 12,
     resolution=64,
     tol: float = 1e-7,
-    max_iter: int = 500,
 ) -> PlanSolution:
     """Alternating heuristic for a bounded domain.
 
@@ -276,16 +275,16 @@ def solve_bounded(
     masses are re-balanced by local exchanges between nearest atoms, a
     pair's merge tried before its transfers. Candidates are valued as
     ``min_Fp_nu`` values them, plus G; one whose weight solve ends above
-    ``tol`` is refused, and NoConvergence raised if the initial atoms'
-    solve does. The paper-free parts are labeled
-    heuristic in the metadata.
+    the mass tolerance ``tol`` is refused, and NoConvergence raised if the
+    initial atoms' solve does. The paper-free parts are labeled heuristic
+    in the metadata.
     """
     if not init.is_probability():
         raise NotProbability("initial atoms must form a probability")
     grid = Grid(omega, resolution)
 
     def evaluate(atoms: AtomicMeasure):
-        weights, ws = _solve_weights(atoms, f, p, grid, tol, max_iter)
+        weights, ws = _solve_weights(atoms, f, p, grid, tol)
         density, terms, plan = _evaluate(ws, weights.c, weights.split)
         terms["G"] = eval_G(g, atoms)
         terms["total"] += terms["G"]
@@ -401,8 +400,6 @@ def _exchange_candidates(atoms: AtomicMeasure):
             moves += [(i, j, delta), (j, i, delta)]
         for src, dst, delta in moves:
             cand = _transfer(atoms, src, dst, delta)
-            if cand is None:
-                continue
             key = (cand.points.tobytes(), cand.masses.tobytes())
             if key not in seen:
                 seen.add(key)
@@ -410,23 +407,18 @@ def _exchange_candidates(atoms: AtomicMeasure):
 
 
 def _transfer(atoms: AtomicMeasure, src: int, dst: int, delta: float | None):
-    """Move delta mass (None: all of it) from atom src to atom dst."""
+    """Move delta mass (None: all of it) from atom src to atom dst.
+
+    The result is always a valid measure: a merge keeps the other atoms, of
+    which ``_exchange_candidates`` leaves at least one, and its transfers
+    move at most a quarter of the smaller mass, so every mass stays positive.
+    """
     masses = atoms.masses.copy()
     if delta is None or delta >= masses[src] - 1e-15:
         keep = np.ones(len(masses), dtype=bool)
         keep[src] = False
         masses[dst] += masses[src]
-        if keep.sum() == 0:
-            return None
-        try:
-            return AtomicMeasure(atoms.points[keep], masses[keep])
-        except ValueError:
-            return None
-    if delta <= 0:
-        return None
+        return AtomicMeasure(atoms.points[keep], masses[keep])
     masses[src] -= delta
     masses[dst] += delta
-    try:
-        return AtomicMeasure(atoms.points, masses)
-    except ValueError:
-        return None
+    return AtomicMeasure(atoms.points, masses)

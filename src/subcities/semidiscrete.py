@@ -408,7 +408,6 @@ def solve_weights(
     p: float,
     grid: Grid,
     tol: float = 1e-7,
-    max_iter: int = 500,
 ) -> DualWeights:
     """Solve the per-atom weights so cell masses match atom masses.
 
@@ -429,17 +428,18 @@ def solve_weights(
     winners of one ``stats`` call) runs from Newton's best iterate; its
     bisection raises GridTooCoarse if a weight cannot reach its atom's
     mass. Raises NoConvergence with the best residual when the requested
-    tolerance is out of reach.
+    tolerance is out of reach. ``tol`` is the one setting: Newton's step
+    count is capped internally, a bound no measured solve comes near.
     """
-    return _solve_weights(atoms, f, p, grid, tol, max_iter)[0]
+    return _solve_weights(atoms, f, p, grid, tol)[0]
 
 
-def _solve_weights(atoms, f, p, grid, tol, max_iter):
+def _solve_weights(atoms, f, p, grid, tol):
     """``solve_weights`` plus the workspace it solved on, for reuse."""
     if not atoms.is_probability():
         raise NotProbability("solve_weights needs a probability atomic measure")
     ws = _Workspace(atoms, f, p, grid)
-    c, residual, split = _solve_weights_best(atoms, f, p, grid, tol, max_iter, ws=ws)
+    c, residual, split = _solve_weights_best(atoms, f, p, grid, tol, ws=ws)
     if residual > tol:
         raise NoConvergence(
             f"mass balance reached {residual:.3e} > tol {tol:.3e}; "
@@ -455,7 +455,6 @@ def _solve_weights_best(
     p: float,
     grid: Grid,
     tol: float,
-    max_iter: int = 500,
     ws: _Workspace | None = None,
 ):
     """Best-effort weight solve; returns ``(c, residual, split)`` without raising.
@@ -484,7 +483,7 @@ def _solve_weights_best(
     reach = _PIVOTS * ws.vol * float(u.max())
     # no accepted step leaves an atom less than half the least target or start mass
     floor = 0.5 * min(float(targets.min()), float(cm.min()))
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         if best_res <= tol:
             break
         r = cm - targets
@@ -527,6 +526,9 @@ def _split_masses(ws: _Workspace, winner, u, split) -> np.ndarray:
 
 
 _PIVOTS = 8  # the hand-over reach in cells, and crossover rounds beyond 4 per atom
+# Newton's step cap, a guard only: Armijo's slack can pass a step that does
+# not raise the dual, so the loop needs a bound (measured solves take <= 9)
+_NEWTON_STEPS = 500
 
 
 def _crossover(ws: _Workspace, c0: np.ndarray, start):
@@ -772,21 +774,21 @@ def min_Fp_nu(
     p: float,
     grid: Grid,
     tol: float = 1e-7,
-    max_iter: int = 500,
 ):
     """Minimize transport-plus-spread cost over densities at fixed atoms.
 
-    Returns the optimal density and a value breakdown. The weight solve ends
-    at the split optimum, whose power cells are an optimal plan from the
-    density to ``nu``; the transport term is that plan's cost, and
+    Returns the optimal density and a value breakdown. The weight solve
+    (``solve_weights``, to the mass tolerance ``tol``) ends at the split
+    optimum, whose power cells are an optimal plan from the density to
+    ``nu``; the transport term is that plan's cost, and
     ``total - dual_objective`` certifies it.
     """
-    return _min_Fp_nu(nu, f, p, grid, tol, max_iter)[:2]
+    return _min_Fp_nu(nu, f, p, grid, tol)[:2]
 
 
-def _min_Fp_nu(nu, f, p, grid, tol, max_iter):
+def _min_Fp_nu(nu, f, p, grid, tol):
     """``min_Fp_nu`` plus the transport plan of its power cells."""
-    weights, ws = _solve_weights(nu, f, p, grid, tol, max_iter)
+    weights, ws = _solve_weights(nu, f, p, grid, tol)
     density, breakdown, plan = _evaluate(ws, weights.c, weights.split)
     breakdown["transport_route"] = "lp"  # the cell plan solves the LP; the benchmark reads this key
     return density, breakdown, plan

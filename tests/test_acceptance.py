@@ -98,7 +98,7 @@ def test_criterion_4_optimality_relation():
     errors = []
     for cells in (100, 200, 400):
         grid = sc.Grid(sc.Domain.box([(0.0, 1.0)]), (cells,))
-        density, _, plan = _min_Fp_nu(nu, f, p, grid, 0.5 / cells, 500)
+        density, _, plan = _min_Fp_nu(nu, f, p, grid, 0.5 / cells)
         u_support = density.values.ravel()[density.values.ravel() > 0]
         vals = u_support + plan.dual_psi  # f'(u) = u for the quadratic family
         level = np.median(vals)

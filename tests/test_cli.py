@@ -325,6 +325,7 @@ class TestConfigHandling:
             ("energy-curve", {"p": math.nan}),
             ("energy-curve", {"p": math.inf}),
             ("mu-subproblem", {"tolerances": {"mass_balence": 1e-9}}),
+            ("mu-subproblem", {"tolerances": {"newton_max_iter": 500}}),
             ("validate", {"validate": {**VALIDATE, "grid": 0}}),
             ("validate", {"validate": {**VALIDATE, "mass_units": 0}}),
             ("validate", {"validate": {**VALIDATE, "mass_units": -2}}),
@@ -335,6 +336,7 @@ class TestConfigHandling:
         ],
         ids=["k-max-zero", "rounds-negative", "curve-samples-zero", "curve-m-min-zero",
              "curve-m-min-above-one", "layout-unknown", "p-nan", "p-inf", "tolerances-unknown-key",
+             "tolerances-newton-max-iter",
              "validate-grid-zero", "mass-units-zero", "mass-units-negative", "sites-repeated",
              "sites-outside-domain", "sites-wrong-dimension", "objective-tol-type"],
     )
@@ -369,14 +371,14 @@ class TestValidateMode:
                 **BASE,
                 "domain": [[0.0, 1.0]],
                 "rounds": 1,
-                "tolerances": {"mass_balance": 3e-6, "newton_max_iter": 77},
+                "tolerances": {"mass_balance": 3e-6},
                 "validate": {"grid": 16, "sites": [[0.3], [0.7]], "mass_units": 6},
             },
         )
         assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
         assert len(seen) == 3  # one per nonempty site subset
         for kwargs in seen:
-            assert kwargs["tol"] == 3e-6 and kwargs["max_iter"] == 77
+            assert kwargs["tol"] == 3e-6
             assert kwargs["resolution"] == (16,)
 
     def test_tiny_instance(self, tmp_path):

@@ -10,7 +10,6 @@ from subcities import (
     NegativeDensity,
     NonpositiveMass,
     NotProbability,
-    UnboundedDomain,
     WeightedPointCloud,
     ZeroMass,
     make_grid_density,
@@ -21,6 +20,22 @@ from subcities import (
 
 def box1d(lo=0.0, hi=1.0):
     return Domain.box([(lo, hi)])
+
+
+class TestDomain:
+    def test_dim_is_the_number_of_intervals(self):
+        for bounds in ([(0, 1)], [(0, 1), (-2, 3)], [(0, 1)] * 3):
+            domain = Domain.box(bounds)
+            assert domain.dim == len(domain.bounds) == len(bounds)
+
+    def test_needs_an_axis(self):
+        with pytest.raises(ValueError):
+            Domain.box([])
+
+    @pytest.mark.parametrize("interval", [(1.0, 1.0), (2.0, 1.0)])
+    def test_rejects_an_empty_interval(self, interval):
+        with pytest.raises(ValueError, match="empty interval"):
+            Domain.box([(0.0, 1.0), interval])
 
 
 class TestMakeGridDensity:
@@ -60,10 +75,6 @@ class TestMakeGridDensity:
         assert make_grid_density(square, 2, np.ones(4)).resolution == (2, 2)
         with pytest.raises(ValueError):
             Grid(square, (3,))
-
-    def test_rejects_unbounded(self):
-        with pytest.raises(UnboundedDomain):
-            make_grid_density(Domain.unbounded(1), 2, [1, 1])
 
 
 class TestNormalize:

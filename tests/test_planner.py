@@ -601,7 +601,7 @@ class TestOneEvaluation:
         omega = Domain.box(bounds)
         sol = solve_bounded(omega, F, power_g(0.4, 0.5), 2.0, init, rounds=0, resolution=resolution)
         assert sol.metadata["mass_residual"] <= 1e-12
-        _, breakdown, plan = _min_Fp_nu(init, F, 2.0, Grid(omega, resolution), 1e-7, 500)
+        _, breakdown, plan = _min_Fp_nu(init, F, 2.0, Grid(omega, resolution), 1e-7)
         assert sol.objective["transport"] == breakdown["transport"] == plan.total_cost
         total = breakdown["total"]
         assert abs(total - breakdown["dual_objective"]) <= 1e-12 * (1.0 + abs(total))
